@@ -181,6 +181,17 @@ def cmd_svd_spectrum(scenarios: Sequence[Scenario], tau: float = DEFAULT_EDOF_TA
     )
 
 
+def _at_least_one(text: str) -> int:
+    """argparse type for counts: an integer >= 1 (argparse names the option)."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{n} must be at least 1")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nfdof",
@@ -226,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="run oracle-equivalence self checks")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default %(default)s)")
-    p.add_argument("--cases", type=int, default=200,
+    p.add_argument("--cases", type=_at_least_one, default=200,
                    help="random cases for the oracle comparison (default %(default)s)")
 
     return parser

@@ -81,7 +81,10 @@ def _require(doc: Mapping, key: str, path: str = "") -> object:
 def _number(value: object, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    x = float(value)
+    if not math.isfinite(x):  # json.loads accepts Infinity and NaN
+        raise RangeError(f"{path}: {x} is not a finite number")
+    return x
 
 
 def _positive(value: object, path: str) -> float:

@@ -17,6 +17,7 @@ from nfdof import (
     optimal_orientation,
     singular_spectrum,
 )
+from nfdof.channel import _pivoted_r
 from nfdof.errors import AllZeroSpectrum, CoincidentAntennas, NonIntegerGrid
 
 Z_AXIS = (0.0, 0.0, 1.0)
@@ -117,7 +118,7 @@ class TestSingularSpectrum:
         s = singular_spectrum(H)
         top = np.linalg.norm(u) * np.linalg.norm(v)
         assert s.values[0] == pytest.approx(top, rel=1e-12)
-        # zeros resolve only to the Gram noise floor ~ sqrt(eps) * sigma_1
+        # the pivoted R resolves the zeros to ~1e-16 * sigma_1; this bound is loose
         assert s.values[1:] == pytest.approx(np.zeros(3), abs=1e-7 * top)
 
     def test_matches_reference_svd(self):
@@ -146,6 +147,71 @@ class TestSingularSpectrum:
         H = ChannelMatrix(entries=np.array([[np.inf + 0j]]), lambda_m=0.01)
         with pytest.raises(ValueError):
             singular_spectrum(H)
+
+
+def complex_normal(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+class TestPivotedR:
+    def _check_factor(self, A):
+        R = _pivoted_r(A)
+        m, n = A.shape
+        assert R.shape == (min(m, n), n)
+        assert np.isfinite(R).all()
+        assert (np.tril(R, -1) == 0.0).all()
+        d = np.abs(np.diag(R))
+        # pivoting on recomputed norms: |r_jj| is the largest trailing norm at step j
+        assert (d[1:] <= d[:-1] * (1.0 + 1e-12)).all()
+        # R = Q^H A P keeps the singular values
+        top = max(np.linalg.norm(A, 2), 1.0)
+        assert np.linalg.svd(R, compute_uv=False) == pytest.approx(
+            np.linalg.svd(A, compute_uv=False), abs=1e-12 * top
+        )
+        return R
+
+    def test_tall_and_wide(self):
+        rng = np.random.default_rng(61)
+        for shape in ((12, 7), (7, 7), (5, 9), (1, 4), (4, 1)):
+            self._check_factor(complex_normal(rng, shape))
+
+    def test_graded_columns_are_pivoted_first(self):
+        rng = np.random.default_rng(62)
+        A = complex_normal(rng, (9, 6)) * np.array([1e-6, 1.0, 1e-3, 1e-9, 1e-1, 1e-12])
+        d = np.abs(np.diag(self._check_factor(A)))
+        assert d[0] > 1e-2 and d[-1] < 1e-9
+
+    def test_zero_matrix(self):
+        R = self._check_factor(np.zeros((5, 3), dtype=complex))
+        assert (R == 0.0).all()
+
+    def test_rank_one(self):
+        rng = np.random.default_rng(63)
+        u, v = complex_normal(rng, 8), complex_normal(rng, 5)
+        R = self._check_factor(np.outer(u, v.conj()))
+        top = np.linalg.norm(u) * np.linalg.norm(v)
+        assert abs(R[0, 0]) == pytest.approx(np.linalg.norm(u) * np.abs(v).max(), rel=1e-12)
+        assert np.linalg.norm(R[0]) == pytest.approx(top, rel=1e-12)
+        assert np.abs(R[1:]).max() <= 1e-14 * top
+
+    def test_zero_column(self):
+        rng = np.random.default_rng(64)
+        A = complex_normal(rng, (6, 4))
+        A[:, 1] = 0.0
+        R = self._check_factor(A)
+        assert (R[-1] == 0.0).all()  # rank 3: the last step finds no column left
+        assert (np.abs(np.diag(R))[:3] > 0.0).all()
+
+    @pytest.mark.parametrize("theta", [0.0, math.pi / 6.0, math.pi / 3.0])
+    def test_spectrum_matches_reference_svd(self, theta):
+        # The criterion-5 channels.  Jacobi on the plain Gram matrix H^H H misses
+        # this bound by about 2.6e-10, so passing it needs the graded R.
+        H = build_channel(500.0, theta, 100.0, 100.0, 0.5)
+        s = singular_spectrum(H)
+        ref = np.linalg.svd(H.entries, compute_uv=False)
+        ref = ref / ref[0]
+        resolved = ref > 1e-6
+        assert np.abs(s.normalized - ref)[resolved].max() <= 1e-10
 
 
 class TestEdof:

@@ -98,6 +98,26 @@ class TestParseScenario:
     def test_single_document_as_list(self):
         assert len(parse_scenarios(scenario_text())) == 1
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"placement": {"R": math.inf, "theta": 0}}, r"^placement\.R: inf is not a finite number"),
+            ({"lambda_m": math.nan}, r"^lambda_m: nan is not a finite number"),
+        ],
+    )
+    def test_non_finite_value_names_field(self, overrides, message):
+        # json.dumps writes Infinity and NaN tokens, which json.loads accepts
+        with pytest.raises(RangeError, match=message):
+            parse_scenario(scenario_text(**overrides))
+
+    def test_non_finite_value_in_scenarios_array_names_index(self):
+        text = json.dumps({"scenarios": [MINIMAL, dict(MINIMAL, placement={"R": 500, "theta": math.nan})]})
+        with pytest.raises(RangeError, match=r"^scenarios\[1\]\.placement\.theta: nan"):
+            parse_scenarios(text)
+        text = json.dumps({"scenarios": [dict(MINIMAL, lambda_m=-math.inf)]})
+        with pytest.raises(RangeError, match=r"^scenarios\[0\]\.lambda_m: -inf"):
+            parse_scenarios(text)
+
 
 class TestSweepCommands:
     def test_localbw_sweep_values(self):
@@ -255,6 +275,21 @@ class TestCliMain:
         out = capsys.readouterr().out
         assert out.count("PASS") == 5
         assert "FAIL" not in out
+
+    def test_non_finite_config_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "inf.json"
+        cfg.write_text(scenario_text(placement={"R": math.inf, "theta": 0}))
+        assert main(["localbw-sweep", "--config", str(cfg)]) == 2
+        assert "placement.R" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cases", ["0", "-5"])
+    def test_validate_cases_below_one_rejected(self, cases, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--seed", "1", "--cases", cases])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--cases" in captured.err
+        assert "PASS" not in captured.out
 
     def test_validate_failure_exit_code(self, capsys, monkeypatch):
         import nfdof.cli as cli_mod
