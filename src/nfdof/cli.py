@@ -43,22 +43,22 @@ DEFAULT_KMAX_THETAS = (0.0, math.pi / 6.0, math.pi / 3.0)
 DEFAULT_EDOF_TAU = 0.1
 
 
+def _tensor_rows(a: Sequence[float], b: Sequence[float], *values: object) -> np.ndarray:
+    """Rows (a[i], b[j], v[i, j] for v in values), a the outer axis."""
+    aa, bb = np.meshgrid(a, b, indexing="ij")
+    return np.column_stack([aa.ravel(), bb.ravel(), *(np.ravel(v) for v in values)])
+
+
 def cmd_localbw_sweep(scenario: Scenario, n_points: int = DEFAULT_ORIENTATION_POINTS) -> SweepTable:
     """Sweep (psi, phi') over [0, pi]^2 at the scenario placement."""
     alpha = geometry_angles(scenario.placement, scenario.Ls).alpha
     psis = np.linspace(0.0, math.pi, n_points)
     phis = np.linspace(0.0, math.pi, n_points)
     omega = omega_grid(psis, phis, alpha) / K0
-    rows = [
-        (float(psis[i]), float(phis[j]), float(omega[i, j]))
-        for i in range(n_points)
-        for j in range(n_points)
-    ]
     return SweepTable(
         columns=["psi", "phi_prime", "omega_over_k0"],
-        rows=rows,
+        rows=_tensor_rows(psis, phis, omega),
         command="localbw-sweep",
-        scenario_sha256="",
         notes=[
             "psi: receive polar angle from +x; phi_prime: azimuth from the fan bisector",
             f"placement R={scenario.placement.R:.17g} theta={scenario.placement.theta:.17g}"
@@ -86,16 +86,10 @@ def cmd_maxbw_map(
     value = 2.0 * np.sin(0.5 * alpha)
     on_segment = (yg <= SEGMENT_TOL) & (zg <= half + SEGMENT_TOL)
     value = np.where(on_segment, 2.0, value)
-    rows = [
-        (float(ys[i]), float(zs[j]), float(value[i, j]))
-        for i in range(n_points)
-        for j in range(n_points)
-    ]
     return SweepTable(
         columns=["y", "z", "omega_max_over_k0"],
-        rows=rows,
+        rows=_tensor_rows(ys, zs, value),
         command="maxbw-map",
-        scenario_sha256="",
         notes=[
             f"transmit segment length Ls={scenario.Ls:.17g} on the z axis",
             "points within the segment band carry the limiting value 2.0",
@@ -116,24 +110,19 @@ def cmd_kmax_sweep(
             r_values = list(np.linspace(300.0, 1000.0, 15))
     if theta_values is None:
         theta_values = scenario.theta_list or DEFAULT_KMAX_THETAS
-    rows = []
+    ak, ek = [], []
     for R in r_values:
         for theta in theta_values:
             placement = PolarPlacement(R=float(R), theta=float(theta))
-            ak = k_number_max(placement, scenario.Lp, scenario.Ls).value
-            ek = maximize_k(
-                placement,
-                scenario.Lp,
-                scenario.Ls,
-                grid=scenario.grid,
-                quad_points=scenario.quad_points,
-            ).best_k.value
-            rows.append((float(R), float(theta), ak, ek))
+            ak.append(k_number_max(placement, scenario.Lp, scenario.Ls).value)
+            search = maximize_k(
+                placement, scenario.Lp, scenario.Ls, grid=scenario.grid, quad_points=scenario.quad_points
+            )
+            ek.append(search.best_k.value)
     return SweepTable(
         columns=["R", "theta", "AK", "EK"],
-        rows=rows,
+        rows=_tensor_rows(r_values, theta_values, ak, ek),
         command="kmax-sweep",
-        scenario_sha256="",
         notes=[
             f"Ls={scenario.Ls:.17g} Lp={scenario.Lp:.17g}",
             "AK: center approximation at the optimal orientation; EK: grid search maximum",
@@ -148,7 +137,7 @@ def cmd_svd_spectrum(scenarios: Sequence[Scenario], tau: float = DEFAULT_EDOF_TA
     orientation-search maximum, AK the center approximation at the scenario
     orientation, both orientation-search independent of antenna spacing.
     """
-    rows = []
+    blocks = []
     for sc in scenarios:
         p0 = sc.placement.point()
         v = sc.orientation_vector()
@@ -162,8 +151,9 @@ def cmd_svd_spectrum(scenarios: Sequence[Scenario], tau: float = DEFAULT_EDOF_TA
         ).best_k.value
         n_dof = edof_threshold(spectrum, tau)
         q_dof = edof_quadratic(spectrum)
-        for n, sigma in enumerate(spectrum.normalized, start=1):
-            rows.append((float(sc.config_id), float(n), float(sigma), ak, ek, float(n_dof), q_dof))
+        sigma = spectrum.normalized
+        n = np.arange(1, sigma.size + 1)
+        blocks.append(np.column_stack(np.broadcast_arrays(sc.config_id, n, sigma, ak, ek, n_dof, q_dof)))
     return SweepTable(
         columns=[
             "config_id",
@@ -174,9 +164,8 @@ def cmd_svd_spectrum(scenarios: Sequence[Scenario], tau: float = DEFAULT_EDOF_TA
             "edof_threshold",
             "edof_quadratic",
         ],
-        rows=rows,
+        rows=np.vstack(blocks),
         command="svd-spectrum",
-        scenario_sha256="",
         notes=[f"edof_threshold at tau={tau:.17g} on normalized singular values"],
     )
 

@@ -98,13 +98,11 @@ def maximize_k(
     p0 = placement.point()
     beta = ang.beta
 
+    def orientation(psi: float, phi_prime: float) -> OrientationAngles:
+        return OrientationAngles(psi=psi, phi=reduce_phi_prime(phi_prime, -beta))  # phi' + beta mod pi
+
     def k_at(psi: float, phi_prime: float) -> float:
-        phi = math.fmod(phi_prime + beta, math.pi)
-        if phi < 0.0:
-            phi += math.pi
-        sp = math.sin(psi)
-        v = (math.cos(psi), sp * math.cos(phi), sp * math.sin(phi))
-        seg = ArraySegment(center=p0, direction=v, length=Lp)
+        seg = ArraySegment(center=p0, direction=orientation(psi, phi_prime).vector(), length=Lp)
         return k_number_numeric(seg, Ls, quad_points).value
 
     psis = np.linspace(0.0, math.pi, n_psi)
@@ -130,11 +128,8 @@ def maximize_k(
                 best = (k, float(psi), pp)
 
     k_best, psi_best, pp_best = best
-    phi_best = math.fmod(pp_best + beta, math.pi)
-    if phi_best < 0.0:
-        phi_best += math.pi
     return OrientationSearchResult(
-        best_orientation=OrientationAngles(psi=psi_best, phi=phi_best),
+        best_orientation=orientation(psi_best, pp_best),
         best_k=KNumber(value=k_best, method=KMethod.NUMERIC),
         grid_resolution=(n_psi, n_phi),
     )

@@ -28,14 +28,16 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import IO, Iterable, Mapping
 
+import numpy as np
+
 from .bandwidth import OrientationAngles
-from .errors import RangeError, SchemaError
+from .errors import DegeneratePoint, RangeError, SchemaError
 from .geometry import PolarPlacement, Vec3, geometry_angles
+from .knumber import DEFAULT_QUAD_POINTS, DEFAULT_SEARCH_GRID
 
 DEFAULT_SPACING = 0.5
-DEFAULT_QUAD_POINTS = 129
-DEFAULT_GRID = (64, 64)
 DEFAULT_SWEEP_COUNT = 15
+_EMIT_BLOCK_ROWS = 4096  # rows per write: a float list of the whole table outweighs the array
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,7 @@ class Scenario:
     spacing_s: float = DEFAULT_SPACING
     spacing_p: float = DEFAULT_SPACING
     quad_points: int = DEFAULT_QUAD_POINTS
-    grid: tuple[int, int] = DEFAULT_GRID
+    grid: tuple[int, int] = DEFAULT_SEARCH_GRID
     sweep: SweepSpec | None = None
     theta_list: tuple[float, ...] = ()
     config_id: int = 0
@@ -81,7 +83,10 @@ def _require(doc: Mapping, key: str, path: str = "") -> object:
 def _number(value: object, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{path}: expected a number, got {value!r}")
-    x = float(value)
+    try:
+        x = float(value)
+    except OverflowError:  # json.loads reads integer literals of any size
+        raise RangeError(f"{path}: integer beyond the float range") from None
     if not math.isfinite(x):  # json.loads accepts Infinity and NaN
         raise RangeError(f"{path}: {x} is not a finite number")
     return x
@@ -150,10 +155,13 @@ def _scenario_from_dict(doc: Mapping, config_id: int = 0, path: str = "") -> Sce
         _require(pdoc, "theta", path + "placement."), path + "placement.theta", 0.0, 0.5 * math.pi
     )
     placement = PolarPlacement(R=R, theta=theta)
+    try:
+        beta = geometry_angles(placement, Ls).beta
+    except DegeneratePoint as exc:
+        raise RangeError(f"{path}placement: {exc} (R={R:g}, theta={theta:g}, Ls={Ls:g})") from None
 
     odoc = doc.get("orientation", "optimal")
     if odoc == "optimal":
-        beta = geometry_angles(placement, Ls).beta
         # v_NP = (0, -sin beta, cos beta) corresponds to (psi, phi) = (pi/2, beta + pi/2)
         orientation = OrientationAngles(psi=0.5 * math.pi, phi=beta + 0.5 * math.pi)
         mode = "optimal"
@@ -174,7 +182,7 @@ def _scenario_from_dict(doc: Mapping, config_id: int = 0, path: str = "") -> Sce
     if quad_points < 3 or quad_points % 2 == 0:
         raise RangeError(f"{path}quad_points: {quad_points} must be odd and >= 3")
 
-    gdoc = doc.get("grid", list(DEFAULT_GRID))
+    gdoc = doc.get("grid", list(DEFAULT_SEARCH_GRID))
     if (
         not isinstance(gdoc, list)
         or len(gdoc) != 2
@@ -229,18 +237,22 @@ def _scenario_from_dict(doc: Mapping, config_id: int = 0, path: str = "") -> Sce
 
 @dataclass
 class SweepTable:
-    """Rectangular table of reals with a provenance comment header.
+    """One (n_rows, len(columns)) float64 array with a provenance comment header.
 
-    The CSV body is RFC 4180 (comma separated, LF endings, "." decimal);
-    values carry 17 significant digits so rereads round-trip exactly.
-    Output is byte-identical across runs except the "generated" line.
+    A list of row tuples is converted on construction.  The CSV body is RFC
+    4180 (comma separated, LF endings, "." decimal); values carry 17 significant
+    digits so rereads round-trip exactly.  Output is byte-identical across runs
+    except the "generated" line.
     """
 
     columns: list[str]
-    rows: list[tuple[float, ...]]
+    rows: np.ndarray
     command: str
-    scenario_sha256: str
+    scenario_sha256: str = ""
     notes: list[str] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        self.rows = np.asarray(self.rows, dtype=float).reshape(-1, len(self.columns))
 
     def write_csv(self, stream: IO[str], version: str, timestamp: str | None = None) -> None:
         if timestamp is None:
@@ -253,8 +265,10 @@ class SweepTable:
         for note in self.notes:
             stream.write(f"# {note}\n")
         stream.write(",".join(self.columns) + "\n")
-        for row in self.rows:
-            stream.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        line = ",".join(["%.17g"] * len(self.columns)) + "\n"
+        for start in range(0, len(self.rows), _EMIT_BLOCK_ROWS):
+            block = self.rows[start : start + _EMIT_BLOCK_ROWS]
+            stream.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def sha256_of(text: str) -> str:

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nfdof import parse_scenario, parse_scenarios, run_validation
 from nfdof.cli import (
@@ -16,9 +18,11 @@ from nfdof.cli import (
     main,
 )
 from nfdof.errors import RangeError, SchemaError
-from nfdof.scenario import read_table, sha256_of
+from nfdof.scenario import SweepTable, read_table, sha256_of
 
 MINIMAL = {"lambda_m": 0.01, "Ls": 100, "Lp": 100, "placement": {"R": 500, "theta": 0}}
+# with Ls = 100 both placements lie on the transmit segment z in [-50, 50]
+ON_SEGMENT = [{"R": 10, "theta": math.pi / 2}, {"R": 1e-12, "theta": 0}]
 
 
 def scenario_text(**overrides):
@@ -118,6 +122,62 @@ class TestParseScenario:
         with pytest.raises(RangeError, match=r"^scenarios\[0\]\.lambda_m: -inf"):
             parse_scenarios(text)
 
+    @pytest.mark.parametrize("placement", ON_SEGMENT)
+    @pytest.mark.parametrize("orientation", ["optimal", {"psi": 1.0, "phi": 2.0}])
+    def test_placement_on_segment_names_field(self, placement, orientation):
+        text = scenario_text(placement=placement, orientation=orientation)
+        with pytest.raises(RangeError, match=r"^placement: .*transmit segment"):
+            parse_scenario(text)
+        with pytest.raises(RangeError, match=r"^placement: .*transmit segment"):
+            parse_scenarios(text)
+        second = dict(MINIMAL, placement=placement, orientation=orientation)
+        text = json.dumps({"scenarios": [MINIMAL, second]})
+        with pytest.raises(RangeError, match=r"^scenarios\[1\]\.placement: .*transmit segment"):
+            parse_scenarios(text)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+FULL = dict(
+    MINIMAL,
+    orientation={"psi": 1.0, "phi": 2.0},
+    spacing_s=0.5,
+    spacing_p=0.5,
+    quad_points=129,
+    grid=[64, 64],
+    sweep={"variable": "R", "start": 300, "stop": 1000, "count": 15},
+    theta_list=[0, 0.5],
+)
+
+
+def mutations(template):
+    """``template`` with any of its fields kept, dropped, or replaced by another JSON value."""
+    options = [st.just(template), JSON_VALUES]
+    if isinstance(template, dict):
+        options.append(st.fixed_dictionaries({}, optional={k: mutations(v) for k, v in template.items()}))
+    elif isinstance(template, list):
+        options.append(st.tuples(*map(mutations, template)).map(list))
+    elif isinstance(template, (int, float)):
+        options.append(st.integers(-1000, 1000) | st.floats(-1000.0, 1000.0))
+    return st.one_of(*options)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(doc=mutations(FULL) | st.lists(mutations(FULL), max_size=3).map(lambda items: {"scenarios": items}))
+@example(doc=dict(MINIMAL, placement=ON_SEGMENT[0]))
+@example(doc={"scenarios": [MINIMAL, dict(FULL, placement=ON_SEGMENT[1])]})
+@example(doc=dict(MINIMAL, Ls=10**400))
+def test_parsers_raise_only_config_errors(doc):
+    text = json.dumps(doc)
+    for parse in (parse_scenario, parse_scenarios):
+        try:
+            parse(text)
+        except (SchemaError, RangeError):
+            pass
+
 
 class TestSweepCommands:
     def test_localbw_sweep_values(self):
@@ -198,6 +258,21 @@ class TestSweepCommands:
         # tilted placement has fewer effective dimensions
         assert vals[vals[:, 0] == 1.0][0, 5] <= vals[vals[:, 0] == 0.0][0, 5]
 
+    @pytest.mark.parametrize("command", ["localbw", "maxbw", "kmax", "svd"])
+    def test_rows_are_one_float_array(self, command):
+        small = dict(MINIMAL, Ls=16, Lp=16, placement={"R": 60, "theta": 0.3}, grid=[8, 8], quad_points=3)
+        sc = parse_scenario(json.dumps(small))
+        table = {
+            "localbw": lambda: cmd_localbw_sweep(sc, n_points=5),
+            "maxbw": lambda: cmd_maxbw_map(sc, extent=100.0, n_points=5),
+            "kmax": lambda: cmd_kmax_sweep(sc, r_values=[60.0, 80.0], theta_values=[0.0, 0.3, 0.6]),
+            "svd": lambda: cmd_svd_spectrum(parse_scenarios(json.dumps({"scenarios": [small, small]}))),
+        }[command]()
+        n_rows = {"localbw": 25, "maxbw": 25, "kmax": 6, "svd": 66}[command]
+        assert isinstance(table.rows, np.ndarray)
+        assert table.rows.dtype == np.float64
+        assert table.rows.shape == (n_rows, len(table.columns))
+
 
 class TestCsvContract:
     def test_deterministic_except_timestamp(self):
@@ -238,6 +313,18 @@ class TestCsvContract:
         for got, want in zip(rows, table.rows):
             assert got == pytest.approx(want, abs=0.0)
 
+    def test_values_print_as_format_17g(self):
+        values = [-0.0, 5e-324, 0.1, 1e16, 2.0, -1.5e-300]
+        rows = [tuple(values), tuple(reversed(values))]
+        texts = []
+        for table_rows in (rows, np.array(rows)):
+            buf = io.StringIO()
+            SweepTable(list("abcdef"), table_rows, "test").write_csv(buf, version="0", timestamp="T")
+            texts.append(buf.getvalue())
+        want = "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in rows)
+        assert texts[0].endswith("a,b,c,d,e,f\n" + want)
+        assert texts[1] == texts[0]
+
 
 class TestCliMain:
     def test_localbw_end_to_end(self, tmp_path, capsys):
@@ -275,6 +362,13 @@ class TestCliMain:
         out = capsys.readouterr().out
         assert out.count("PASS") == 5
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("placement", ON_SEGMENT)
+    def test_placement_on_segment_exit_code(self, tmp_path, capsys, placement):
+        cfg = tmp_path / "on.json"
+        cfg.write_text(scenario_text(placement=placement))
+        assert main(["maxbw-map", "--config", str(cfg), "--grid", "9"]) == 2
+        assert capsys.readouterr().err.startswith("nfdof: error: placement: ")
 
     def test_non_finite_config_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "inf.json"
