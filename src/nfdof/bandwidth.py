@@ -4,10 +4,10 @@ The spatial frequency of the wave arriving at ``p`` from a source point
 ``s``, measured along the receive direction ``v``, is ``K0 * r_hat . v``
 with ``r_hat = (p - s)/|p - s|``.  The local bandwidth is the spread
 (max minus min) of that frequency over all source points.  For a linear
-transmit segment the spread has an exact piecewise closed form in the
-orientation angles (psi, phi') and the subtended angle alpha; the
-brute-force discretization of the definition is kept alongside as an
-oracle.
+transmit segment the frequency is K0 sin(psi) cos(x) over the fan x in
+[phi' - alpha/2, phi' + alpha/2]; clipped to [0, pi], with center c and
+half-width w, the fan gives the closed form 2 K0 sin(psi) sin(w) sin(c).
+The brute-force discretization of the definition is kept as an oracle.
 """
 
 from __future__ import annotations
@@ -20,9 +20,6 @@ import numpy as np
 
 from .errors import DegeneratePoint
 from .geometry import K0, Vec3, canonicalize, geometry_angles, unit
-
-_BRANCH_SNAP = 1e-12
-"Snap width onto the branch boundaries phi' = alpha/2 and pi - alpha/2."
 
 DEFAULT_ORACLE_SAMPLES = 100_000
 
@@ -55,22 +52,15 @@ def orientation_angles(v: Sequence[float]) -> OrientationAngles:
     psi = math.acos(min(1.0, max(-1.0, vx)))
     if math.sin(psi) == 0.0:
         return OrientationAngles(psi=psi, phi=0.0)
-    phi = math.atan2(vz, vy)
-    if phi < 0.0:
-        phi += math.pi
-    if phi >= math.pi:
-        phi -= math.pi
-    return OrientationAngles(psi=psi, phi=phi)
+    return OrientationAngles(psi=psi, phi=reduce_phi_prime(math.atan2(vz, vy), 0.0))
 
 
 def reduce_phi_prime(phi: float, beta: float) -> float:
-    """Map phi - beta into [0, pi)."""
+    """Map phi - beta into [0, pi); a zero result is +0.0."""
     t = math.fmod(phi - beta, math.pi)
     if t < 0.0:
         t += math.pi
-    if t >= math.pi:
-        t = 0.0
-    return t
+    return t + 0.0 if t < math.pi else 0.0  # + 0.0 turns the -0.0 of fmod(-pi, pi) into +0.0
 
 
 def spatial_frequency(p: Sequence[float], s: Sequence[float], v: Sequence[float]) -> float:
@@ -83,55 +73,53 @@ def spatial_frequency(p: Sequence[float], s: Sequence[float], v: Sequence[float]
     return K0 * (rx * vx + ry * vy + rz * vz) / n
 
 
+def _clipped_fan(phi_prime: float, half: float) -> tuple[float, float]:
+    """Center and half-width of the fan [phi' - half, phi' + half] clipped to [0, pi]."""
+    if phi_prime < half:
+        c = 0.5 * (phi_prime + half)
+        return c, c
+    if phi_prime > math.pi - half:
+        w = 0.5 * (math.pi - phi_prime + half)
+        return math.pi - w, w
+    return phi_prime, half
+
+
 def fmax_fmin(psi: float, phi_prime: float, alpha: float) -> tuple[float, float]:
     """Extreme spatial frequencies over the arrival fan, for orientation (psi, phi').
 
-    The fan angle gamma ranges over [-alpha/2, alpha/2] relative to the
-    bisector; the frequency is K0 sin(psi) cos(gamma - phi').
+    K0 sin(psi) (cos(c - w), cos(c + w)), with c and w the center and
+    half-width of the fan [phi' - alpha/2, phi' + alpha/2] clipped to [0, pi].
     """
-    s = math.sin(psi)
-    half = 0.5 * alpha
-    fmax = K0 * s if phi_prime <= half else K0 * s * math.cos(phi_prime - half)
-    fmin = -K0 * s if phi_prime >= math.pi - half else K0 * s * math.cos(phi_prime + half)
-    return fmax, fmin
+    s = K0 * math.sin(psi)
+    c, w = _clipped_fan(phi_prime, 0.5 * alpha)
+    return s * math.cos(c - w), s * math.cos(c + w)
 
 
 def omega_from_angles(psi: float, phi_prime: float, alpha: float) -> float:
     """Closed-form local bandwidth for orientation (psi, phi') and fan width alpha.
 
-    Three branches, continuous across phi' = alpha/2 and pi - alpha/2;
-    phi' values within _BRANCH_SNAP of a boundary are snapped onto it.
+    2 K0 sin(psi) sin(w) sin(c), with c and w the center and half-width of
+    the fan [phi' - alpha/2, phi' + alpha/2] clipped to [0, pi]: one formula,
+    continuous across the clip points phi' = alpha/2 and pi - alpha/2.
     Total on psi in [0, pi], phi' in [0, pi], alpha in [0, pi).
     """
-    s = math.sin(psi)
-    half = 0.5 * alpha
-    if abs(phi_prime - half) < _BRANCH_SNAP:
-        phi_prime = half
-    elif abs(phi_prime - (math.pi - half)) < _BRANCH_SNAP:
-        phi_prime = math.pi - half
-    if phi_prime <= half:
-        return K0 * s * (1.0 - math.cos(half + phi_prime))
-    if phi_prime < math.pi - half:
-        return 2.0 * K0 * s * math.sin(half) * math.sin(phi_prime)
-    return K0 * s * (1.0 + math.cos(half - phi_prime))
+    c, w = _clipped_fan(phi_prime, 0.5 * alpha)
+    return 2.0 * K0 * math.sin(psi) * math.sin(w) * math.sin(c)
 
 
 def omega_profile(phi_prime: np.ndarray, alpha: float) -> np.ndarray:
     """Vectorized in-plane bandwidth profile omega(pi/2, phi'; alpha), over k0-included units.
 
-    The closed form factorizes as sin(psi) times this profile, so grids
-    over (psi, phi') reduce to an outer product (see omega_grid).
+    The clipped fan of omega_from_angles, elementwise (the two agree bit for
+    bit); sin(psi) times this profile is the closed form, so grids over
+    (psi, phi') reduce to an outer product (see omega_grid).
     """
     pp = np.asarray(phi_prime, dtype=float)
     half = 0.5 * alpha
-    low = pp <= half
-    high = pp >= math.pi - half
-    mid = ~(low | high)
-    out = np.empty_like(pp)
-    out[low] = K0 * (1.0 - np.cos(half + pp[low]))
-    out[mid] = 2.0 * K0 * math.sin(half) * np.sin(pp[mid])
-    out[high] = K0 * (1.0 + np.cos(half - pp[high]))
-    return out
+    low, high = pp < half, pp > math.pi - half
+    w = np.where(low, 0.5 * (pp + half), np.where(high, 0.5 * (math.pi - pp + half), half))
+    c = np.where(low, w, np.where(high, math.pi - w, pp))
+    return 2.0 * K0 * np.sin(w) * np.sin(c)
 
 
 def omega_grid(psi: np.ndarray, phi_prime: np.ndarray, alpha: float) -> np.ndarray:
@@ -142,16 +130,12 @@ def omega_grid(psi: np.ndarray, phi_prime: np.ndarray, alpha: float) -> np.ndarr
 def local_bandwidth_closed(p: Sequence[float], v: Sequence[float], Ls: float) -> float:
     """Closed-form local bandwidth at point ``p`` for receive direction ``v``.
 
-    The placement is first reduced to the canonical frame; degenerate
-    collinear placements (zero fan) return 0 rather than raising.
+    The placement is first reduced to the canonical frame; a collinear
+    placement (zero fan) or a direction along the segment gives 0.
     """
     placement, v_c, _ = canonicalize(p, v, Ls=Ls)
     ang = geometry_angles(placement, Ls)
-    if ang.alpha == 0.0:
-        return 0.0
     psi = math.acos(min(1.0, max(-1.0, v_c[0])))
-    if math.sin(psi) == 0.0:
-        return 0.0
     phi = math.atan2(v_c[2], v_c[1])
     return omega_from_angles(psi, reduce_phi_prime(phi, ang.beta), ang.alpha)
 
@@ -186,8 +170,8 @@ def max_bandwidth(alpha: float) -> float:
     """Largest local bandwidth over all orientations: 2*K0*sin(alpha/2).
 
     Attained exactly at (psi, phi') = (pi/2, pi/2), i.e. the in-plane
-    direction perpendicular to the fan bisector; the two outer branch
-    maxima K0*(1 - cos alpha) never exceed it.
+    direction perpendicular to the fan bisector; the largest value on a
+    clipped fan, K0*(1 - cos alpha), never exceeds it.
     """
     if not 0.0 <= alpha < math.pi:
         raise ValueError(f"alpha must lie in [0, pi), got {alpha}")

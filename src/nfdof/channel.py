@@ -18,6 +18,8 @@ from .geometry import ArraySegment
 from .numerics import hermitian_eigenvalues
 
 GRID_INTEGRALITY_TOL = 1e-9
+MAX_GRID_STEPS = 10_000
+"Most antenna spacings along one array: a 10,001 x 10,001 channel is 1.6 GB."
 
 
 @dataclass(frozen=True)
@@ -43,16 +45,26 @@ class SingularSpectrum:
     normalized: np.ndarray  # values / values[0] (zeros if the matrix is zero)
 
 
-def antenna_grid(segment: ArraySegment, spacing: float) -> AntennaGrid:
-    """Place length/spacing + 1 antennas on the segment, symmetric about its center."""
+def grid_steps(length: float, spacing: float) -> int:
+    """Whole number of spacings along an array of ``length``, at most MAX_GRID_STEPS.
+
+    Raises NonIntegerGrid when the length is not an integer multiple of
+    the spacing, and ValueError for a non-positive spacing or too many steps.
+    """
     if spacing <= 0.0:
         raise ValueError(f"spacing must be positive, got {spacing}")
-    ratio = segment.length / spacing
+    ratio = length / spacing
+    if not ratio <= MAX_GRID_STEPS:
+        raise ValueError(f"length {length} over spacing {spacing} exceeds {MAX_GRID_STEPS} steps")
     steps = round(ratio)
     if abs(ratio - steps) > GRID_INTEGRALITY_TOL:
-        raise NonIntegerGrid(
-            f"length {segment.length} is not an integer multiple of spacing {spacing}"
-        )
+        raise NonIntegerGrid(f"length {length} is not an integer multiple of spacing {spacing}")
+    return steps
+
+
+def antenna_grid(segment: ArraySegment, spacing: float) -> AntennaGrid:
+    """Place length/spacing + 1 antennas on the segment, symmetric about its center."""
+    steps = grid_steps(segment.length, spacing)
     count = steps + 1
     offsets = (np.arange(count) - 0.5 * steps) * spacing
     positions = np.asarray(segment.center) + offsets[:, None] * np.asarray(segment.direction)

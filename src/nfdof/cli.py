@@ -32,6 +32,8 @@ from .scenario import (
     SweepTable,
     parse_scenario,
     parse_scenarios,
+    quad_point_count,
+    search_grid_axis,
     sha256_of,
 )
 from .validation import run_validation
@@ -233,13 +235,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _with_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
+    """The search --grid and --quad of kmax-sweep and svd-spectrum, under the config's bounds."""
     changes = {}
-    grid = getattr(args, "grid", None)
-    if grid is not None:
-        changes["grid"] = (grid, grid)
-    quad = getattr(args, "quad", None)
-    if quad is not None:
-        changes["quad_points"] = quad
+    if args.grid is not None:
+        n = search_grid_axis(args.grid, "--grid")
+        changes["grid"] = (n, n)
+    if args.quad is not None:
+        changes["quad_points"] = quad_point_count(args.quad, "--quad")
     if not changes:
         return scenario
     return replace(scenario, **changes)
@@ -271,13 +273,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             scenarios = [_with_overrides(sc, args) for sc in parse_scenarios(config_text)]
             table = cmd_svd_spectrum(scenarios, tau=args.tau)
         else:
-            scenario = _with_overrides(parse_scenario(config_text), args)
+            scenario = parse_scenario(config_text)
             if args.command == "localbw-sweep":
                 table = cmd_localbw_sweep(scenario, n_points=args.grid)
             elif args.command == "maxbw-map":
                 table = cmd_maxbw_map(scenario, extent=args.extent, n_points=args.grid)
             else:
-                table = cmd_kmax_sweep(scenario)
+                table = cmd_kmax_sweep(_with_overrides(scenario, args))
         _emit(table, args.out, config_text, args.seed)
     except (SchemaError, RangeError, DegeneratePoint, DegenerateGeometry, OSError, ValueError) as exc:
         print(f"nfdof: error: {exc}", file=sys.stderr)

@@ -9,14 +9,17 @@ radians:
       "placement": {"R": 500, "theta": 0},
       "orientation": "optimal",            // or {"psi": ..., "phi": ...}
       "spacing_s": 0.5, "spacing_p": 0.5,  // default lambda/2
-      "quad_points": 129,                  // default
-      "grid": [64, 64],                    // orientation-search grid, default
-      "sweep": {"variable": "R", "start": 300, "stop": 1000, "count": 15},
+      "quad_points": 129,                  // odd, up to MAX_QUAD_POINTS; default
+      "grid": [64, 64],                    // orientation-search grid, 8..MAX_GRID; default
+      "sweep": {"variable": "R", "start": 300, "stop": 1000, "count": 15},  // count <= MAX_SWEEP_COUNT
       "theta_list": [0, 0.5236, 1.0472]
     }
 
 Only lambda_m, Ls, Lp and placement are required.  "optimal" resolves to
-the bandwidth-maximizing receive direction for the given placement.
+the bandwidth-maximizing receive direction for the given placement, which
+must lie neither on the transmit segment nor on its axis.  A spacing given
+in the document must divide its array length; the default lambda/2 is
+checked only where svd-spectrum places antennas.
 """
 
 from __future__ import annotations
@@ -31,12 +34,16 @@ from typing import IO, Iterable, Mapping
 import numpy as np
 
 from .bandwidth import OrientationAngles
+from .channel import grid_steps
 from .errors import DegeneratePoint, RangeError, SchemaError
 from .geometry import PolarPlacement, Vec3, geometry_angles
 from .knumber import DEFAULT_QUAD_POINTS, DEFAULT_SEARCH_GRID
 
 DEFAULT_SPACING = 0.5
 DEFAULT_SWEEP_COUNT = 15
+MAX_GRID = 1024  # a 1024 x 1024 search is 256 times the default one
+MAX_QUAD_POINTS = 10_001
+MAX_SWEEP_COUNT = 10_000
 _EMIT_BLOCK_ROWS = 4096  # rows per write: a float list of the whole table outweighs the array
 
 
@@ -106,6 +113,38 @@ def _in_range(value: object, path: str, lo: float, hi: float) -> float:
     return x
 
 
+def _integer(value: object, path: str, lo: int, hi: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{path}: expected an integer, got {value!r}")
+    if not lo <= value <= hi:
+        raise RangeError(f"{path}: {value} outside [{lo}, {hi}]")
+    return value
+
+
+def search_grid_axis(value: object, path: str) -> int:
+    """Orientation-search points along one axis, in [8, MAX_GRID]."""
+    return _integer(value, path, 8, MAX_GRID)
+
+
+def quad_point_count(value: object, path: str) -> int:
+    """Simpson quadrature nodes: odd, in [3, MAX_QUAD_POINTS]."""
+    n = _integer(value, path, 3, MAX_QUAD_POINTS)
+    if n % 2 == 0:
+        raise RangeError(f"{path}: {n} must be odd")
+    return n
+
+
+def _spacing(doc: Mapping, key: str, length: float, path: str) -> float:
+    if key not in doc:
+        return DEFAULT_SPACING
+    spacing = _positive(doc[key], path + key)
+    try:
+        grid_steps(length, spacing)
+    except ValueError as exc:  # NonIntegerGrid, or too many antennas
+        raise RangeError(f"{path}{key}: {exc}") from None
+    return spacing
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document, applying defaults.
 
@@ -156,9 +195,15 @@ def _scenario_from_dict(doc: Mapping, config_id: int = 0, path: str = "") -> Sce
     )
     placement = PolarPlacement(R=R, theta=theta)
     try:
-        beta = geometry_angles(placement, Ls).beta
+        angles = geometry_angles(placement, Ls)
     except DegeneratePoint as exc:
         raise RangeError(f"{path}placement: {exc} (R={R:g}, theta={theta:g}, Ls={Ls:g})") from None
+    if angles.alpha <= 0.0:
+        raise RangeError(
+            f"{path}placement.theta: the transmit segment subtends a zero angle at theta={theta:g},"
+            f" R={R:g} (the segment's axis is theta = pi/2)"
+        )
+    beta = angles.beta
 
     odoc = doc.get("orientation", "optimal")
     if odoc == "optimal":
@@ -173,24 +218,14 @@ def _scenario_from_dict(doc: Mapping, config_id: int = 0, path: str = "") -> Sce
     else:
         raise SchemaError(f'{path}orientation: expected "optimal" or an object, got {odoc!r}')
 
-    spacing_s = _positive(doc.get("spacing_s", DEFAULT_SPACING), path + "spacing_s")
-    spacing_p = _positive(doc.get("spacing_p", DEFAULT_SPACING), path + "spacing_p")
-
-    quad_points = doc.get("quad_points", DEFAULT_QUAD_POINTS)
-    if isinstance(quad_points, bool) or not isinstance(quad_points, int):
-        raise SchemaError(f"{path}quad_points: expected an integer, got {quad_points!r}")
-    if quad_points < 3 or quad_points % 2 == 0:
-        raise RangeError(f"{path}quad_points: {quad_points} must be odd and >= 3")
+    spacing_s = _spacing(doc, "spacing_s", Ls, path)
+    spacing_p = _spacing(doc, "spacing_p", Lp, path)
+    quad_points = quad_point_count(doc.get("quad_points", DEFAULT_QUAD_POINTS), path + "quad_points")
 
     gdoc = doc.get("grid", list(DEFAULT_SEARCH_GRID))
-    if (
-        not isinstance(gdoc, list)
-        or len(gdoc) != 2
-        or any(isinstance(g, bool) or not isinstance(g, int) for g in gdoc)
-    ):
+    if not isinstance(gdoc, list) or len(gdoc) != 2:
         raise SchemaError(f"{path}grid: expected [n_psi, n_phi] integers, got {gdoc!r}")
-    if min(gdoc) < 8:
-        raise RangeError(f"{path}grid: {gdoc} entries must be >= 8")
+    grid = (search_grid_axis(gdoc[0], f"{path}grid[0]"), search_grid_axis(gdoc[1], f"{path}grid[1]"))
 
     sweep = None
     if "sweep" in doc:
@@ -204,9 +239,7 @@ def _scenario_from_dict(doc: Mapping, config_id: int = 0, path: str = "") -> Sce
         stop = _positive(_require(sdoc, "stop", path + "sweep."), path + "sweep.stop")
         if stop < start:
             raise RangeError(f"{path}sweep.stop: {stop} must be >= start {start}")
-        count = sdoc.get("count", DEFAULT_SWEEP_COUNT)
-        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-            raise RangeError(f"{path}sweep.count: {count!r} must be a positive integer")
+        count = _integer(sdoc.get("count", DEFAULT_SWEEP_COUNT), path + "sweep.count", 1, MAX_SWEEP_COUNT)
         sweep = SweepSpec(variable=str(variable), start=start, stop=stop, count=count)
 
     theta_list: tuple[float, ...] = ()
@@ -228,7 +261,7 @@ def _scenario_from_dict(doc: Mapping, config_id: int = 0, path: str = "") -> Sce
         spacing_s=spacing_s,
         spacing_p=spacing_p,
         quad_points=quad_points,
-        grid=(gdoc[0], gdoc[1]),
+        grid=grid,
         sweep=sweep,
         theta_list=theta_list,
         config_id=config_id,

@@ -48,6 +48,11 @@ class CheckResult:
         )
 
 
+def _result(name: str, cases: int, worst: float, tolerance: float) -> CheckResult:
+    """A check passes only if it ran at least one case and stayed within tolerance."""
+    return CheckResult(name, cases > 0 and worst <= tolerance, cases, worst, tolerance)
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     results: list[CheckResult]
@@ -86,7 +91,7 @@ def check_closed_vs_oracle(seed: int, n_cases: int, corruption: float = 0.0) -> 
         bound = 2.0 * K0 * alpha / ORACLE_SAMPLES + ROUNDOFF_FLOOR
         worst = max(worst, abs(closed - oracle))
         tol = max(tol, bound)
-    return CheckResult("closed form vs definition oracle", worst <= tol, n_cases, worst, tol)
+    return _result("closed form vs definition oracle", n_cases, worst, tol)
 
 
 def check_angles(seed: int, n_cases: int) -> CheckResult:
@@ -107,7 +112,7 @@ def check_angles(seed: int, n_cases: int) -> CheckResult:
             rb = _arrival_direction(P, -0.5 * Ls)
             by, bz = ra[0] + rb[0], ra[1] + rb[1]
             worst = max(worst, abs(ang.beta - math.atan2(bz, by)))
-    return CheckResult("geometry angles vs oracles", worst <= 1e-12, n_cases, worst, 1e-12)
+    return _result("geometry angles vs oracles", n_cases, worst, 1e-12)
 
 
 def _arrival_direction(P, z_src: float) -> tuple[float, float]:
@@ -131,7 +136,7 @@ def check_orientation_maximum(seed: int, n_cases: int, grid_n: int = 501) -> Che
         alpha = geometry_angles(PolarPlacement(R=R, theta=theta), Ls).alpha
         grid_max = float(omega_grid(psis, phis, alpha).max())
         worst = max(worst, abs(grid_max - max_bandwidth(alpha)))
-    return CheckResult("orientation maximum vs closed grid", worst <= tol, n_cases, worst, tol)
+    return _result("orientation maximum vs closed grid", n_cases, worst, tol)
 
 
 def check_branch_continuity(seed: int, n_cases: int) -> CheckResult:
@@ -155,7 +160,7 @@ def check_branch_continuity(seed: int, n_cases: int) -> CheckResult:
             abs(hi - hi_a),
             abs(hi - hi_b),
         )
-    return CheckResult("branch continuity at the seams", worst <= 1e-12, n_cases, worst, 1e-12)
+    return _result("branch continuity at the seams", n_cases, worst, 1e-12)
 
 
 def check_periodicity(seed: int, n_cases: int, grid_n: int = 41) -> CheckResult:
@@ -178,7 +183,7 @@ def check_periodicity(seed: int, n_cases: int, grid_n: int = 41) -> CheckResult:
                     worst,
                     abs(local_bandwidth_closed(p, v, Ls) - local_bandwidth_closed(p, w, Ls)),
                 )
-    return CheckResult("periodicity under phi + pi", worst <= 1e-12, n_cases, worst, 1e-12)
+    return _result("periodicity under phi + pi", n_cases, worst, 1e-12)
 
 
 def run_validation(seed: int, n_cases: int, corruption: float = 0.0) -> ValidationReport:

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -32,6 +33,16 @@ def fan_extrema_oracle(psi, phi_prime, alpha, n=200_001):
     gammas = np.linspace(-0.5 * alpha, 0.5 * alpha, n)
     f = K0 * math.sin(psi) * np.cos(gammas - phi_prime)
     return float(f.max()), float(f.min())
+
+
+def omega_mpmath(psi, phi_prime, alpha, dps=40):
+    """The fan spread by its branch formulas, in mpmath at ``dps`` digits, for float inputs."""
+    with mpmath.workdps(dps):
+        half = mpmath.mpf(alpha) / 2
+        lo, hi = mpmath.mpf(phi_prime) - half, mpmath.mpf(phi_prime) + half
+        cos_max = 1 if lo <= 0 else mpmath.cos(lo)
+        cos_min = -1 if hi >= mpmath.pi else mpmath.cos(hi)
+        return mpmath.mpf(K0) * mpmath.sin(mpmath.mpf(psi)) * (cos_max - cos_min)
 
 
 def orientation_vector(psi, phi):
@@ -206,6 +217,38 @@ class TestBranchStructure:
         assert omega_from_angles(0.5 * math.pi, half - eps, alpha) == pytest.approx(at, abs=1e-12)
         assert omega_from_angles(0.5 * math.pi, half + eps, alpha) == pytest.approx(at, abs=1e-12)
 
+    def test_profile_equals_scalar_form_bit_for_bit(self):
+        for alpha in (1e-9, 0.4, 0.9273, 2.8):
+            half = 0.5 * alpha
+            seams = np.array([half, math.pi - half])
+            near = (seams[:, None] + np.array([-1e-13, 0.0, 1e-13])).ravel()
+            phis = np.concatenate([np.linspace(0.0, math.pi, 257), near, [0.0, math.pi]])
+            scalar = [omega_from_angles(0.5 * math.pi, float(pp), alpha) for pp in phis]
+            assert omega_profile(phis, alpha).tolist() == scalar
+
+    @pytest.mark.parametrize(
+        "psi, phi_prime, alpha",
+        [
+            (0.5 * math.pi, 1e-9, 2e-9),  # phi' = alpha/2: the fan touches 0
+            (0.5 * math.pi, 3e-10, 2e-9),  # the fan is clipped at 0
+            (1.0, 1e-12, 4e-12),
+            (0.5 * math.pi, 0.7, 1e-9),  # unclipped
+        ],
+    )
+    def test_small_fans_relatively_accurate(self, psi, phi_prime, alpha):
+        expected = omega_mpmath(psi, phi_prime, alpha)
+        assert expected > 0
+        assert abs(omega_from_angles(psi, phi_prime, alpha) - expected) <= 1e-14 * expected
+
+    def test_matches_mpmath_on_random_fans(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            psi = rng.uniform(0.0, math.pi)
+            pp = rng.uniform(0.0, math.pi)
+            alpha = rng.uniform(0.0, math.pi * 0.999)
+            got = omega_from_angles(psi, pp, alpha)
+            assert abs(got - float(omega_mpmath(psi, pp, alpha))) <= 4e-15 * K0
+
     def test_periodic_in_phi(self):
         rng = np.random.default_rng(26)
         for _ in range(20):
@@ -300,6 +343,12 @@ class TestOrientationRecovery:
             assert ang.psi == pytest.approx(psi, abs=1e-9)
             if math.sin(psi) > 1e-9:
                 assert ang.phi == pytest.approx(phi % math.pi, abs=1e-9)
+
+    def test_azimuth_minus_pi_reduces_to_positive_zero(self):
+        # atan2(-0.0, -1.0) = -pi, and fmod(-pi, pi) = -0.0
+        phi = orientation_angles((0.0, -1.0, -0.0)).phi
+        assert phi == 0.0 and math.copysign(1.0, phi) == 1.0
+        assert math.copysign(1.0, reduce_phi_prime(-math.pi, 0.0)) == 1.0
 
     def test_poles_get_zero_azimuth(self):
         assert orientation_angles((1.0, 0.0, 0.0)).phi == 0.0

@@ -18,7 +18,14 @@ from nfdof.cli import (
     main,
 )
 from nfdof.errors import RangeError, SchemaError
-from nfdof.scenario import SweepTable, read_table, sha256_of
+from nfdof.scenario import (
+    MAX_GRID,
+    MAX_QUAD_POINTS,
+    MAX_SWEEP_COUNT,
+    SweepTable,
+    read_table,
+    sha256_of,
+)
 
 MINIMAL = {"lambda_m": 0.01, "Ls": 100, "Lp": 100, "placement": {"R": 500, "theta": 0}}
 # with Ls = 100 both placements lie on the transmit segment z in [-50, 50]
@@ -134,6 +141,83 @@ class TestParseScenario:
         text = json.dumps({"scenarios": [MINIMAL, second]})
         with pytest.raises(RangeError, match=r"^scenarios\[1\]\.placement: .*transmit segment"):
             parse_scenarios(text)
+
+
+def sweep(count):
+    return {"variable": "R", "start": 300, "stop": 1000, "count": count}
+
+
+class TestFieldChecks:
+    """Caps and deeper-layer errors, each checked by parsing alone: no job runs."""
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"quad_points": "x"}, "quad_points"),
+            ({"quad_points": 129.0}, "quad_points"),
+            ({"grid": [64, "x"]}, r"grid\[1\]"),
+            ({"grid": [True, 64]}, r"grid\[0\]"),
+            ({"sweep": sweep("x")}, r"sweep\.count"),
+            ({"sweep": sweep(1.5)}, r"sweep\.count"),
+        ],
+    )
+    def test_integer_field_of_wrong_type_is_a_schema_error(self, overrides, field):
+        with pytest.raises(SchemaError, match=rf"^{field}: expected an integer"):
+            parse_scenario(scenario_text(**overrides))
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"quad_points": MAX_QUAD_POINTS + 2}, "quad_points"),
+            ({"quad_points": 1}, "quad_points"),
+            ({"grid": [64, MAX_GRID + 1]}, r"grid\[1\]"),
+            ({"grid": [10**9, 10**9]}, r"grid\[0\]"),
+            ({"grid": [7, 64]}, r"grid\[0\]"),
+            ({"sweep": sweep(MAX_SWEEP_COUNT + 1)}, r"sweep\.count"),
+            ({"sweep": sweep(10**12)}, r"sweep\.count"),
+            ({"sweep": sweep(0)}, r"sweep\.count"),
+        ],
+    )
+    def test_integer_field_out_of_range_is_a_range_error(self, overrides, field):
+        with pytest.raises(RangeError, match=rf"^{field}: -?\d+ outside \["):
+            parse_scenario(scenario_text(**overrides))
+
+    def test_caps_themselves_parse(self):
+        sc = parse_scenario(
+            scenario_text(grid=[MAX_GRID, 8], quad_points=MAX_QUAD_POINTS, sweep=sweep(MAX_SWEEP_COUNT))
+        )
+        assert sc.grid == (MAX_GRID, 8)
+        assert sc.quad_points == MAX_QUAD_POINTS
+        assert sc.sweep.count == MAX_SWEEP_COUNT
+
+    @pytest.mark.parametrize("parse", [parse_scenario, parse_scenarios])
+    def test_on_axis_placement_names_theta(self, parse):
+        # beyond the segment tip on its axis every arrival direction is parallel: alpha = 0
+        with pytest.raises(RangeError, match=r"^placement\.theta: .*zero angle"):
+            parse(scenario_text(placement={"R": 500, "theta": math.pi / 2}))
+
+    def test_on_axis_placement_in_scenarios_array_names_index(self):
+        text = json.dumps({"scenarios": [MINIMAL, dict(MINIMAL, placement={"R": 500, "theta": math.pi / 2})]})
+        with pytest.raises(RangeError, match=r"^scenarios\[1\]\.placement\.theta: "):
+            parse_scenarios(text)
+
+    @pytest.mark.parametrize("key, length", [("spacing_p", "Lp"), ("spacing_s", "Ls")])
+    def test_spacing_that_does_not_divide_its_length_names_field(self, key, length):
+        with pytest.raises(RangeError, match=rf"^{key}: length 100.0 is not an integer multiple"):
+            parse_scenario(scenario_text(**{key: 0.3}))
+        text = json.dumps({"scenarios": [dict(MINIMAL, **{length: 90, key: 0.5}), dict(MINIMAL, **{key: 0.3})]})
+        with pytest.raises(RangeError, match=rf"^scenarios\[1\]\.{key}: "):
+            parse_scenarios(text)
+
+    @pytest.mark.parametrize("spacing", [1e-3, 5e-324])
+    def test_spacing_with_too_many_antennas_names_field(self, spacing):
+        with pytest.raises(RangeError, match="^spacing_s: .*steps"):
+            parse_scenario(scenario_text(spacing_s=spacing))
+
+    def test_default_spacing_is_not_checked_against_the_lengths(self):
+        # maps and sweeps place no antennas, so any length parses without a spacing
+        sc = parse_scenario(scenario_text(Ls=87.3, Lp=12.34))
+        assert sc.spacing_s == sc.spacing_p == 0.5
 
 
 JSON_VALUES = st.recursive(
@@ -385,6 +469,46 @@ class TestCliMain:
         assert "--cases" in captured.err
         assert "PASS" not in captured.out
 
+    @pytest.mark.parametrize(
+        "command, config, option, value",
+        [
+            ("kmax-sweep", "kmax.json", "--grid", str(MAX_GRID + 1)),
+            ("kmax-sweep", "kmax.json", "--grid", "1000000000"),
+            ("kmax-sweep", "kmax.json", "--quad", "64"),
+            ("kmax-sweep", "kmax.json", "--quad", str(MAX_QUAD_POINTS + 2)),
+            ("svd-spectrum", "spectra.json", "--grid", "7"),
+            ("svd-spectrum", "spectra.json", "--quad", "1000000001"),
+        ],
+    )
+    def test_search_overrides_share_the_config_bounds(
+        self, tmp_path, capsys, monkeypatch, command, config, option, value
+    ):
+        import nfdof.cli as cli_mod
+
+        for name in ("cmd_kmax_sweep", "cmd_svd_spectrum"):
+            monkeypatch.setattr(cli_mod, name, lambda *a, **k: pytest.fail("a job ran"))
+        cfg = tmp_path / config
+        text = scenario_text() if config == "kmax.json" else json.dumps({"scenarios": [MINIMAL]})
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg), option, value]) == 2
+        assert capsys.readouterr().err.startswith(f"nfdof: error: {option}: ")
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"placement": {"R": 500, "theta": math.pi / 2}}, "scenarios[0].placement.theta"),
+            ({"spacing_p": 0.3}, "scenarios[0].spacing_p"),
+        ],
+    )
+    def test_deeper_errors_name_their_field(self, tmp_path, capsys, monkeypatch, overrides, field):
+        import nfdof.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "cmd_svd_spectrum", lambda *a, **k: pytest.fail("a job ran"))
+        cfg = tmp_path / "spectra.json"
+        cfg.write_text(json.dumps({"scenarios": [dict(MINIMAL, **overrides)]}))
+        assert main(["svd-spectrum", "--config", str(cfg), "--grid", "8", "--quad", "3"]) == 2
+        assert capsys.readouterr().err.startswith(f"nfdof: error: {field}: ")
+
     def test_validate_failure_exit_code(self, capsys, monkeypatch):
         import nfdof.cli as cli_mod
         from nfdof.validation import CheckResult, ValidationReport
@@ -408,5 +532,7 @@ class TestValidationHarness:
         assert not report.passed
 
     def test_zero_cases_pass(self):
+        # a check that ran no case shows nothing, so it reports FAIL
         report = run_validation(seed=3, n_cases=0)
-        assert report.passed
+        assert not report.passed
+        assert all(r.cases == 0 and r.line().startswith("FAIL ") for r in report.results)
