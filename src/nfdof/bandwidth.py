@@ -63,12 +63,12 @@ def reduce_phi_prime(phi: float, beta: float) -> float:
     return t + 0.0 if t < math.pi else 0.0  # + 0.0 turns the -0.0 of fmod(-pi, pi) into +0.0
 
 
-def spatial_frequency(p: Sequence[float], s: Sequence[float], v: Sequence[float]) -> float:
-    """Spatial frequency K0 * ((p - s)/|p - s|) . v, in [-K0, K0]."""
+def spatial_frequency(p: Sequence[float], s: Sequence, v: Sequence[float]) -> float | np.ndarray:
+    """Spatial frequency K0 * ((p - s)/|p - s|) . v in [-K0, K0], elementwise over array sources."""
     vx, vy, vz = unit(v)
     rx, ry, rz = p[0] - s[0], p[1] - s[1], p[2] - s[2]
-    n = math.sqrt(rx * rx + ry * ry + rz * rz)
-    if n == 0.0:
+    n = np.sqrt(rx * rx + ry * ry + rz * rz)
+    if not np.all(n):
         raise DegeneratePoint("observation point coincides with the source point")
     return K0 * (rx * vx + ry * vy + rz * vz) / n
 
@@ -155,14 +155,7 @@ def local_bandwidth_oracle(
     """
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
-    vx, vy, vz = unit(v)
-    px, py, pz = float(p[0]), float(p[1]), float(p[2])
-    sz = np.linspace(-0.5 * Ls, 0.5 * Ls, n_samples)
-    rz = pz - sz
-    norms = np.sqrt(px * px + py * py + rz * rz)
-    if not norms.all():
-        raise DegeneratePoint("a source sample coincides with the observation point")
-    f = K0 * (px * vx + py * vy + rz * vz) / norms
+    f = spatial_frequency(p, (0.0, 0.0, np.linspace(-0.5 * Ls, 0.5 * Ls, n_samples)), v)
     return float(f.max() - f.min())
 
 

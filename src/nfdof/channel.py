@@ -143,11 +143,16 @@ def _pivoted_r(A: np.ndarray) -> np.ndarray:
     return np.triu(R[:k])
 
 
+def threshold_tau(tau: float, path: str = "tau") -> float:
+    """A threshold on normalized singular values: inside (0, 1)."""
+    if not 0.0 < tau < 1.0:
+        raise ValueError(f"{path}: {tau} outside (0, 1)")
+    return tau
+
+
 def edof_threshold(spectrum: SingularSpectrum, tau: float = 0.1) -> int:
     """Count of normalized singular values at or above tau, for tau in (0, 1)."""
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    return int(np.count_nonzero(spectrum.normalized >= tau))
+    return int(np.count_nonzero(spectrum.normalized >= threshold_tau(tau)))
 
 
 def edof_quadratic(spectrum: SingularSpectrum) -> float:

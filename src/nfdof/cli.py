@@ -17,19 +17,27 @@ import argparse
 import math
 import sys
 from dataclasses import replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import __version__
 from .bandwidth import omega_grid
-from .channel import antenna_grid, edof_quadratic, edof_threshold, los_channel, singular_spectrum
-from .errors import DegenerateGeometry, DegeneratePoint, RangeError, SchemaError
+from .channel import (
+    antenna_grid,
+    edof_quadratic,
+    edof_threshold,
+    los_channel,
+    singular_spectrum,
+    threshold_tau,
+)
 from .geometry import ArraySegment, K0, PolarPlacement, SEGMENT_TOL, geometry_angles
 from .knumber import k_number_center, k_number_max, maximize_k
 from .scenario import (
     Scenario,
     SweepTable,
+    _integer,
+    _positive,
     parse_scenario,
     parse_scenarios,
     quad_point_count,
@@ -43,6 +51,8 @@ DEFAULT_MAP_EXTENT = 300.0
 DEFAULT_MAP_POINTS = 601
 DEFAULT_KMAX_THETAS = (0.0, math.pi / 6.0, math.pi / 3.0)
 DEFAULT_EDOF_TAU = 0.1
+MAX_AXIS_POINTS = 2001  # a 2001 x 2001 maxbw-map is 4 million rows, a 213 MB CSV
+MAX_CASES = 10_000
 
 
 def _tensor_rows(a: Sequence[float], b: Sequence[float], *values: object) -> np.ndarray:
@@ -172,15 +182,18 @@ def cmd_svd_spectrum(scenarios: Sequence[Scenario], tau: float = DEFAULT_EDOF_TA
     )
 
 
-def _at_least_one(text: str) -> int:
-    """argparse type for counts: an integer >= 1 (argparse names the option)."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"{n} must be at least 1")
-    return n
+def _option(
+    convert: Callable[[str], object], check: Callable[..., object], *bounds: float
+) -> Callable[[str], object]:
+    """argparse type from a config field check: a bad value exits 2 naming the option."""
+
+    def parse(text: str) -> object:
+        try:
+            return check(convert(text), "", *bounds)
+        except ValueError as exc:  # the empty field path leaves a leading ": "
+            raise argparse.ArgumentTypeError(str(exc).lstrip(": ")) from None
+
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -190,60 +203,58 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"nfdof {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    seed = _option(int, _integer, 0, math.inf)
+    axis_points = _option(int, _integer, 2, MAX_AXIS_POINTS)
 
-    def add_common(p: argparse.ArgumentParser, needs_config: bool = True) -> None:
-        if needs_config:
-            p.add_argument("--config", required=True, help="scenario JSON file")
+    def add_common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--config", required=True, help="scenario JSON file")
         p.add_argument("--out", default=None, help="output CSV file (default: stdout)")
-        p.add_argument("--seed", type=int, default=0,
+        p.add_argument("--seed", type=seed, default=0,
                        help="recorded in the provenance header; sweeps are deterministic")
+
+    def add_search(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--grid", type=_option(int, search_grid_axis), default=None,
+                       help="orientation-search grid per axis (default: scenario grid)")
+        p.add_argument("--quad", type=_option(int, quad_point_count), default=None,
+                       help="quadrature nodes (default: scenario quad_points)")
 
     p = sub.add_parser("localbw-sweep", help="bandwidth over receive orientations")
     add_common(p)
-    p.add_argument("--grid", type=int, default=DEFAULT_ORIENTATION_POINTS,
+    p.add_argument("--grid", type=axis_points, default=DEFAULT_ORIENTATION_POINTS,
                    help="points per orientation axis (default %(default)s)")
 
     p = sub.add_parser("maxbw-map", help="maximum bandwidth over a yOz window")
     add_common(p)
-    p.add_argument("--grid", type=int, default=DEFAULT_MAP_POINTS,
+    p.add_argument("--grid", type=axis_points, default=DEFAULT_MAP_POINTS,
                    help="points per map axis (default %(default)s)")
-    p.add_argument("--extent", type=float, default=DEFAULT_MAP_EXTENT,
+    p.add_argument("--extent", type=_option(float, _positive), default=DEFAULT_MAP_EXTENT,
                    help="half-width of the map window in wavelengths (default %(default)s)")
 
     p = sub.add_parser("kmax-sweep", help="AK and EK over an (R, theta) sweep")
     add_common(p)
-    p.add_argument("--grid", type=int, default=None,
-                   help="orientation-search grid per axis (default: scenario grid)")
-    p.add_argument("--quad", type=int, default=None,
-                   help="quadrature nodes (default: scenario quad_points)")
+    add_search(p)
 
     p = sub.add_parser("svd-spectrum", help="singular spectra and EDoF per scenario")
     add_common(p)
-    p.add_argument("--grid", type=int, default=None,
-                   help="orientation-search grid per axis (default: scenario grid)")
-    p.add_argument("--quad", type=int, default=None,
-                   help="quadrature nodes (default: scenario quad_points)")
-    p.add_argument("--tau", type=float, default=DEFAULT_EDOF_TAU,
+    add_search(p)
+    p.add_argument("--tau", type=_option(float, threshold_tau), default=DEFAULT_EDOF_TAU,
                    help="EDoF threshold on normalized singular values (default %(default)s)")
 
     p = sub.add_parser("validate", help="run oracle-equivalence self checks")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default %(default)s)")
-    p.add_argument("--cases", type=_at_least_one, default=200,
+    p.add_argument("--seed", type=seed, default=0, help="RNG seed (default %(default)s)")
+    p.add_argument("--cases", type=_option(int, _integer, 1, MAX_CASES), default=200,
                    help="random cases for the oracle comparison (default %(default)s)")
 
     return parser
 
 
 def _with_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
-    """The search --grid and --quad of kmax-sweep and svd-spectrum, under the config's bounds."""
+    """The search --grid and --quad of kmax-sweep and svd-spectrum, checked by argparse."""
     changes = {}
     if args.grid is not None:
-        n = search_grid_axis(args.grid, "--grid")
-        changes["grid"] = (n, n)
+        changes["grid"] = (args.grid, args.grid)
     if args.quad is not None:
-        changes["quad_points"] = quad_point_count(args.quad, "--quad")
-    if not changes:
-        return scenario
+        changes["quad_points"] = args.quad
     return replace(scenario, **changes)
 
 
@@ -281,7 +292,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             else:
                 table = cmd_kmax_sweep(_with_overrides(scenario, args))
         _emit(table, args.out, config_text, args.seed)
-    except (SchemaError, RangeError, DegeneratePoint, DegenerateGeometry, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"nfdof: error: {exc}", file=sys.stderr)
         return 2
     return 0

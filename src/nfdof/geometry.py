@@ -56,12 +56,6 @@ class ArraySegment:
         if self.length < 0.0:
             raise ValueError(f"segment length must be >= 0, got {self.length}")
 
-    def endpoint(self, sign: float) -> Vec3:
-        h = 0.5 * sign * self.length
-        cx, cy, cz = self.center
-        dx, dy, dz = self.direction
-        return (cx + h * dx, cy + h * dy, cz + h * dz)
-
 
 @dataclass(frozen=True)
 class PolarPlacement:

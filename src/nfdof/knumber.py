@@ -105,29 +105,26 @@ def maximize_k(
         seg = ArraySegment(center=p0, direction=orientation(psi, phi_prime).vector(), length=Lp)
         return k_number_numeric(seg, Ls, quad_points).value
 
+    def scan(psis: np.ndarray, phis: np.ndarray, best: tuple) -> tuple:
+        """(K, psi, phi') of ``best`` and the grid, psi outer; a tie keeps the earlier point."""
+        for psi in psis:
+            for pp in phis:
+                pp = reduce_phi_prime(float(pp), 0.0)
+                k = k_at(psi, pp)
+                if k > best[0]:
+                    best = (k, float(psi), pp)
+        return best
+
     psis = np.linspace(0.0, math.pi, n_psi)
     phis = np.linspace(0.0, math.pi, n_phi, endpoint=False)
-    best = (-1.0, 0.0, 0.0)
-    for psi in psis:
-        for pp in phis:
-            k = k_at(psi, pp)
-            if k > best[0]:
-                best = (k, float(psi), float(pp))
-
+    best = scan(psis, phis, (-1.0, 0.0, 0.0))
     psi_step = math.pi / (n_psi - 1)
     phi_step = math.pi / n_phi
     fine_psis = np.clip(
         best[1] + np.linspace(-psi_step, psi_step, _REFINE_POINTS), 0.0, math.pi
     )
     fine_phis = best[2] + np.linspace(-phi_step, phi_step, _REFINE_POINTS)
-    for psi in fine_psis:
-        for pp in fine_phis:
-            pp = reduce_phi_prime(float(pp), 0.0)
-            k = k_at(psi, pp)
-            if k > best[0]:
-                best = (k, float(psi), pp)
-
-    k_best, psi_best, pp_best = best
+    k_best, psi_best, pp_best = scan(fine_psis, fine_phis, best)
     return OrientationSearchResult(
         best_orientation=orientation(psi_best, pp_best),
         best_k=KNumber(value=k_best, method=KMethod.NUMERIC),

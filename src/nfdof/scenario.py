@@ -113,7 +113,7 @@ def _in_range(value: object, path: str, lo: float, hi: float) -> float:
     return x
 
 
-def _integer(value: object, path: str, lo: int, hi: int) -> int:
+def _integer(value: object, path: str, lo: int, hi: float) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"{path}: expected an integer, got {value!r}")
     if not lo <= value <= hi:
@@ -145,40 +145,40 @@ def _spacing(doc: Mapping, key: str, length: float, path: str) -> float:
     return spacing
 
 
+def _decode(text: str) -> dict:
+    """The top-level JSON object of a scenario document."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also an over-long integer, or too deep nesting
+        raise SchemaError(f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SchemaError("top level: expected a JSON object")
+    return doc
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document, applying defaults.
 
     Raises SchemaError for structural problems (with the offending field
     path) and RangeError for out-of-range values.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError("top level: expected a JSON object")
-    return _scenario_from_dict(doc)
+    return _scenario_from_dict(_decode(text))
 
 
 def parse_scenarios(text: str) -> list[Scenario]:
     """Parse either a single scenario or {"scenarios": [...]} into a list."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"not valid JSON: {exc}") from exc
-    if isinstance(doc, dict) and "scenarios" in doc:
-        items = doc["scenarios"]
-        if not isinstance(items, list) or not items:
-            raise SchemaError("scenarios: expected a non-empty array")
-        out = []
-        for i, item in enumerate(items):
-            if not isinstance(item, dict):
-                raise SchemaError(f"scenarios[{i}]: expected an object")
-            out.append(_scenario_from_dict(item, config_id=i, path=f"scenarios[{i}]."))
-        return out
-    if isinstance(doc, dict):
+    doc = _decode(text)
+    if "scenarios" not in doc:
         return [_scenario_from_dict(doc)]
-    raise SchemaError("top level: expected a JSON object")
+    items = doc["scenarios"]
+    if not isinstance(items, list) or not items:
+        raise SchemaError("scenarios: expected a non-empty array")
+    out = []
+    for i, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise SchemaError(f"scenarios[{i}]: expected an object")
+        out.append(_scenario_from_dict(item, config_id=i, path=f"scenarios[{i}]."))
+    return out
 
 
 def _scenario_from_dict(doc: Mapping, config_id: int = 0, path: str = "") -> Scenario:

@@ -78,6 +78,17 @@ class TestSpatialFrequency:
         with pytest.raises(DegeneratePoint):
             spatial_frequency((1, 2, 3), (1, 2, 3), (0, 0, 1))
 
+    def test_array_sources_match_each_scalar_call(self):
+        p, v = (3.0, -40.0, 25.0), (0.2, 0.7, -0.4)
+        zs = np.linspace(-50.0, 50.0, 11)
+        f = spatial_frequency(p, (1.0, 2.0, zs), v)
+        assert f.shape == zs.shape
+        assert f.tolist() == [spatial_frequency(p, (1.0, 2.0, z), v) for z in zs]
+
+    def test_any_coincident_array_source_rejected(self):
+        with pytest.raises(DegeneratePoint):
+            spatial_frequency((0.0, 0.0, 1.0), (0.0, 0.0, np.array([-1.0, 0.0, 1.0])), (0, 1, 0))
+
 
 class TestFanExtrema:
     def test_bisector_aligned(self):

@@ -9,6 +9,7 @@ from nfdof import (
     ArraySegment,
     K0,
     KMethod,
+    KNumber,
     PolarPlacement,
     geometry_angles,
     k_number_center,
@@ -195,6 +196,42 @@ class TestMaximize:
         a = maximize_k(placement, LP, LS, grid=(12, 12), quad_points=33)
         b = maximize_k(placement, LP, LS, grid=(12, 12), quad_points=33)
         assert a == b
+
+    def test_scan_order_and_tie_rule(self, monkeypatch):
+        import nfdof.knumber as knumber_mod
+
+        # Two equal coarse maxima: (2, 3) comes first with psi outer, (5, 1)
+        # with phi' outer; a tie must keep the earlier one.
+        n_psi, n_phi = 9, 8
+        tied = {(2, 3), (5, 1)}
+        directions = []
+
+        def fake_k(receiver, Ls, quad_points):
+            coarse = len(directions) < n_psi * n_phi
+            value = 10.0 if coarse and divmod(len(directions), n_phi) in tied else 1.0
+            directions.append(receiver.direction)
+            return KNumber(value=value, method=KMethod.NUMERIC)
+
+        monkeypatch.setattr(knumber_mod, "k_number_numeric", fake_k)
+        placement = PolarPlacement(400.0, 0.3)
+        beta = geometry_angles(placement, LS).beta
+        res = maximize_k(placement, LP, LS, grid=(n_psi, n_phi), quad_points=33)
+
+        psis = np.linspace(0.0, math.pi, n_psi)
+        phis = np.linspace(0.0, math.pi, n_phi, endpoint=False)
+        psi_step, phi_step = math.pi / (n_psi - 1), math.pi / n_phi
+        fine_psis = np.clip(psis[2] + np.linspace(-psi_step, psi_step, 21), 0.0, math.pi)
+        fine_phis = phis[3] + np.linspace(-phi_step, phi_step, 21)
+        expected = [(a, b) for a in psis for b in phis] + [(a, b) for a in fine_psis for b in fine_phis]
+        assert len(directions) == n_psi * n_phi + 21 * 21 == len(expected)
+        for d, (psi, pp) in zip(directions, expected):
+            assert math.acos(d[0]) == pytest.approx(psi, abs=1e-7)
+            if math.sin(psi) > 1e-6:  # phi is undefined along the x axis
+                got = reduce_phi_prime(math.atan2(d[2], d[1]), beta)
+                assert abs(math.remainder(got - pp, math.pi)) < 1e-9
+        assert res.best_k.value == 10.0
+        assert res.best_orientation.psi == psis[2]
+        assert abs(math.remainder(reduce_phi_prime(res.best_orientation.phi, beta) - phis[3], math.pi)) < 1e-12
 
     def test_small_grid_rejected(self):
         with pytest.raises(ValueError):

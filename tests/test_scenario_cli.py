@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from nfdof import parse_scenario, parse_scenarios, run_validation
 from nfdof.cli import (
+    MAX_AXIS_POINTS,
+    MAX_CASES,
     cmd_kmax_sweep,
     cmd_localbw_sweep,
     cmd_maxbw_map,
@@ -18,6 +20,7 @@ from nfdof.cli import (
     main,
 )
 from nfdof.errors import RangeError, SchemaError
+from nfdof.validation import ValidationReport, check_closed_vs_oracle
 from nfdof.scenario import (
     MAX_GRID,
     MAX_QUAD_POINTS,
@@ -30,6 +33,9 @@ from nfdof.scenario import (
 MINIMAL = {"lambda_m": 0.01, "Ls": 100, "Lp": 100, "placement": {"R": 500, "theta": 0}}
 # with Ls = 100 both placements lie on the transmit segment z in [-50, 50]
 ON_SEGMENT = [{"R": 10, "theta": math.pi / 2}, {"R": 1e-12, "theta": 0}]
+
+
+JOBS = ("cmd_localbw_sweep", "cmd_maxbw_map", "cmd_kmax_sweep", "cmd_svd_spectrum", "run_validation")
 
 
 def scenario_text(**overrides):
@@ -76,6 +82,14 @@ class TestParseScenario:
     def test_bad_json_rejected(self):
         with pytest.raises(SchemaError, match="JSON"):
             parse_scenario("{not json")
+
+    @pytest.mark.parametrize("parse", [parse_scenario, parse_scenarios])
+    @pytest.mark.parametrize(
+        "text", ['{"Ls": 1' + "0" * 5000 + "}", "[" * 100_000 + "]" * 100_000], ids=["long-int", "deep"]
+    )
+    def test_undecodable_json_is_a_schema_error(self, parse, text):
+        with pytest.raises(SchemaError, match="not valid JSON"):
+            parse(text)
 
     def test_wrong_types_rejected(self):
         with pytest.raises(SchemaError, match="Ls"):
@@ -438,6 +452,12 @@ class TestCliMain:
         assert main(["localbw-sweep", "--config", str(cfg)]) == 2
         assert "theta" in capsys.readouterr().err
 
+    def test_deeply_nested_config_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "deep.json"
+        cfg.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["localbw-sweep", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("nfdof: error: not valid JSON: ")
+
     def test_missing_config_exit_code(self, tmp_path, capsys):
         assert main(["localbw-sweep", "--config", str(tmp_path / "none.json")]) == 2
 
@@ -478,6 +498,21 @@ class TestCliMain:
             ("kmax-sweep", "kmax.json", "--quad", str(MAX_QUAD_POINTS + 2)),
             ("svd-spectrum", "spectra.json", "--grid", "7"),
             ("svd-spectrum", "spectra.json", "--quad", "1000000001"),
+            ("maxbw-map", "kmax.json", "--grid", "0"),
+            ("maxbw-map", "kmax.json", "--grid", "-5"),
+            ("maxbw-map", "kmax.json", "--grid", str(MAX_AXIS_POINTS + 1)),
+            ("maxbw-map", "kmax.json", "--extent", "nan"),
+            ("maxbw-map", "kmax.json", "--extent", "inf"),
+            ("maxbw-map", "kmax.json", "--extent", "0"),
+            ("localbw-sweep", "kmax.json", "--grid", "1"),
+            ("localbw-sweep", "kmax.json", "--grid", "1000000000"),
+            ("localbw-sweep", "kmax.json", "--seed", "-1"),
+            ("svd-spectrum", "spectra.json", "--tau", "1.5"),
+            ("svd-spectrum", "spectra.json", "--tau", "0"),
+            ("svd-spectrum", "spectra.json", "--tau", "nan"),
+            ("validate", None, "--seed", "-1"),
+            ("validate", None, "--cases", "1000000000"),
+            ("validate", None, "--cases", str(MAX_CASES + 1)),
         ],
     )
     def test_search_overrides_share_the_config_bounds(
@@ -485,13 +520,19 @@ class TestCliMain:
     ):
         import nfdof.cli as cli_mod
 
-        for name in ("cmd_kmax_sweep", "cmd_svd_spectrum"):
+        for name in JOBS:
             monkeypatch.setattr(cli_mod, name, lambda *a, **k: pytest.fail("a job ran"))
-        cfg = tmp_path / config
-        text = scenario_text() if config == "kmax.json" else json.dumps({"scenarios": [MINIMAL]})
-        cfg.write_text(text)
-        assert main([command, "--config", str(cfg), option, value]) == 2
-        assert capsys.readouterr().err.startswith(f"nfdof: error: {option}: ")
+        argv = [command, option, value]
+        if config is not None:
+            cfg = tmp_path / config
+            text = scenario_text() if config == "kmax.json" else json.dumps({"scenarios": [MINIMAL]})
+            cfg.write_text(text)
+            argv += ["--config", str(cfg)]
+        # argparse rejects the value, before main reads the config
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {option}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "overrides, field",
@@ -521,6 +562,105 @@ class TestCliMain:
         assert "FAIL sentinel" in capsys.readouterr().out
 
 
+# what each kind of command-line number may be once it reaches a job
+IN_BOUNDS = {
+    "axis": lambda n: type(n) is int and 2 <= n <= MAX_AXIS_POINTS,
+    "search": lambda n: type(n) is int and 8 <= n <= MAX_GRID,
+    "quad": lambda n: type(n) is int and n % 2 == 1 and 3 <= n <= MAX_QUAD_POINTS,
+    "extent": lambda x: math.isfinite(x) and x > 0.0,
+    "tau": lambda t: 0.0 < t < 1.0,
+    "seed": lambda n: type(n) is int and n >= 0,
+    "cases": lambda n: type(n) is int and 1 <= n <= MAX_CASES,
+}
+NUMBER_OPTIONS = [
+    ("localbw-sweep", "--grid"),
+    ("localbw-sweep", "--seed"),
+    ("maxbw-map", "--grid"),
+    ("maxbw-map", "--extent"),
+    ("kmax-sweep", "--grid"),
+    ("kmax-sweep", "--quad"),
+    ("svd-spectrum", "--grid"),
+    ("svd-spectrum", "--quad"),
+    ("svd-spectrum", "--tau"),
+    ("validate", "--seed"),
+    ("validate", "--cases"),
+]
+ARGV_NUMBERS = (
+    st.integers(-(10**12), 10**12).map(str)
+    | st.floats(allow_nan=True, allow_infinity=True).map(repr)
+    | st.text(max_size=8)
+)
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "scenario.json"
+    path.write_text(scenario_text())
+    return str(path)
+
+
+def _recording_jobs(reached: list) -> dict:
+    """Stand-ins for the jobs and the CSV emit that record the numbers they receive."""
+
+    def search(sc):
+        reached.extend([("search", sc.grid[0]), ("search", sc.grid[1]), ("quad", sc.quad_points)])
+
+    def localbw(scenario, n_points):
+        reached.append(("axis", n_points))
+
+    def maxbw(scenario, extent, n_points):
+        reached.extend([("axis", n_points), ("extent", extent)])
+
+    def svd(scenarios, tau):
+        for sc in scenarios:
+            search(sc)
+        reached.append(("tau", tau))
+
+    def validation(seed, n_cases):
+        reached.extend([("seed", seed), ("cases", n_cases)])
+        return ValidationReport(results=[])
+
+    def emit(table, out, config_text, seed):
+        reached.append(("seed", seed))
+
+    return {
+        "cmd_localbw_sweep": localbw,
+        "cmd_maxbw_map": maxbw,
+        "cmd_kmax_sweep": search,
+        "cmd_svd_spectrum": svd,
+        "run_validation": validation,
+        "_emit": emit,
+    }
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(target=st.sampled_from(NUMBER_OPTIONS), value=ARGV_NUMBERS)
+@example(target=("maxbw-map", "--grid"), value="2")
+@example(target=("svd-spectrum", "--tau"), value="0.5")
+@example(target=("validate", "--seed"), value="0")
+def test_cli_numbers_reach_a_job_only_inside_their_bounds(config_path, target, value):
+    import nfdof.cli as cli_mod
+
+    command, option = target
+    reached = []
+    argv = [command, f"{option}={value}"]  # "=" keeps a value such as "-h" from reading as an option
+    if command != "validate":
+        argv += ["--config", config_path]
+    with pytest.MonkeyPatch.context() as mp:
+        for name, stub in _recording_jobs(reached).items():
+            mp.setattr(cli_mod, name, stub)
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2
+            assert not reached
+            return
+    assert rc == 0
+    assert reached
+    for kind, number in reached:
+        assert IN_BOUNDS[kind](number), (kind, number)
+
+
 class TestValidationHarness:
     def test_default_run_passes(self):
         report = run_validation(seed=3, n_cases=30)
@@ -530,6 +670,12 @@ class TestValidationHarness:
     def test_corrupted_closed_form_detected(self):
         report = run_validation(seed=3, n_cases=30, corruption=1e-3)
         assert not report.passed
+
+    def test_oracle_check_holds_each_case_to_its_own_bound(self):
+        # 1e-5 is below the loosest case's bound but 92 times the tightest one's
+        result = check_closed_vs_oracle(0, 200, corruption=1e-5)
+        assert not result.passed
+        assert result.line().startswith("FAIL ")
 
     def test_zero_cases_pass(self):
         # a check that ran no case shows nothing, so it reports FAIL
