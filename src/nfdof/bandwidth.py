@@ -46,12 +46,11 @@ def orientation_angles(v: Sequence[float]) -> OrientationAngles:
     """Recover (psi, phi) from a direction vector.
 
     phi is reduced modulo pi (the bandwidth is pi-periodic in phi); when
-    sin(psi) = 0 the azimuth is undefined and phi = 0 is returned.
+    sin(psi) = 0 the azimuth is undefined and atan2 of the zero (y, z)
+    pair gives phi = 0.
     """
     vx, vy, vz = unit(v)
-    psi = math.acos(min(1.0, max(-1.0, vx)))
-    if math.sin(psi) == 0.0:
-        return OrientationAngles(psi=psi, phi=0.0)
+    psi = math.atan2(math.hypot(vy, vz), vx)  # acos(vx) would lose the digits of a small sin(psi)
     return OrientationAngles(psi=psi, phi=reduce_phi_prime(math.atan2(vz, vy), 0.0))
 
 
@@ -108,18 +107,15 @@ def omega_from_angles(psi: float, phi_prime: float, alpha: float) -> float:
 
 
 def omega_profile(phi_prime: np.ndarray, alpha: float) -> np.ndarray:
-    """Vectorized in-plane bandwidth profile omega(pi/2, phi'; alpha), over k0-included units.
+    """In-plane bandwidth profile omega(pi/2, phi'; alpha) over an array of phi', in k0-included units.
 
-    The clipped fan of omega_from_angles, elementwise (the two agree bit for
-    bit); sin(psi) times this profile is the closed form, so grids over
+    omega_from_angles at psi = pi/2 for each element, in the input's shape;
+    sin(psi) times this profile is the closed form, so grids over
     (psi, phi') reduce to an outer product (see omega_grid).
     """
     pp = np.asarray(phi_prime, dtype=float)
-    half = 0.5 * alpha
-    low, high = pp < half, pp > math.pi - half
-    w = np.where(low, 0.5 * (pp + half), np.where(high, 0.5 * (math.pi - pp + half), half))
-    c = np.where(low, w, np.where(high, math.pi - w, pp))
-    return 2.0 * K0 * np.sin(w) * np.sin(c)
+    values = [omega_from_angles(0.5 * math.pi, x, alpha) for x in pp.ravel().tolist()]
+    return np.array(values, dtype=float).reshape(pp.shape)
 
 
 def omega_grid(psi: np.ndarray, phi_prime: np.ndarray, alpha: float) -> np.ndarray:
@@ -135,7 +131,7 @@ def local_bandwidth_closed(p: Sequence[float], v: Sequence[float], Ls: float) ->
     """
     placement, v_c, _ = canonicalize(p, v, Ls=Ls)
     ang = geometry_angles(placement, Ls)
-    psi = math.acos(min(1.0, max(-1.0, v_c[0])))
+    psi = math.atan2(math.hypot(v_c[1], v_c[2]), v_c[0])  # not acos(v_x): see orientation_angles
     phi = math.atan2(v_c[2], v_c[1])
     return omega_from_angles(psi, reduce_phi_prime(phi, ang.beta), ang.alpha)
 

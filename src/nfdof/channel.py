@@ -20,6 +20,8 @@ from .numerics import hermitian_eigenvalues
 GRID_INTEGRALITY_TOL = 1e-9
 MAX_GRID_STEPS = 10_000
 "Most antenna spacings along one array: a 10,001 x 10,001 channel is 1.6 GB."
+DEFAULT_TAU = 0.1
+"EDoF threshold on normalized singular values when none is given."
 
 
 @dataclass(frozen=True)
@@ -150,7 +152,7 @@ def threshold_tau(tau: float, path: str = "tau") -> float:
     return tau
 
 
-def edof_threshold(spectrum: SingularSpectrum, tau: float = 0.1) -> int:
+def edof_threshold(spectrum: SingularSpectrum, tau: float = DEFAULT_TAU) -> int:
     """Count of normalized singular values at or above tau, for tau in (0, 1)."""
     return int(np.count_nonzero(spectrum.normalized >= threshold_tau(tau)))
 

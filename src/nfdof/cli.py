@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from .bandwidth import omega_grid
 from .channel import (
+    DEFAULT_TAU,
     antenna_grid,
     edof_quadratic,
     edof_threshold,
@@ -31,6 +32,7 @@ from .channel import (
     singular_spectrum,
     threshold_tau,
 )
+from .errors import DegenerateGeometry, DegeneratePoint, RangeError
 from .geometry import ArraySegment, K0, PolarPlacement, SEGMENT_TOL, geometry_angles
 from .knumber import k_number_center, k_number_max, maximize_k
 from .scenario import (
@@ -50,7 +52,6 @@ DEFAULT_ORIENTATION_POINTS = 181
 DEFAULT_MAP_EXTENT = 300.0
 DEFAULT_MAP_POINTS = 601
 DEFAULT_KMAX_THETAS = (0.0, math.pi / 6.0, math.pi / 3.0)
-DEFAULT_EDOF_TAU = 0.1
 MAX_AXIS_POINTS = 2001  # a 2001 x 2001 maxbw-map is 4 million rows, a 213 MB CSV
 MAX_CASES = 10_000
 
@@ -109,31 +110,36 @@ def cmd_maxbw_map(
     )
 
 
-def cmd_kmax_sweep(
-    scenario: Scenario,
-    r_values: Sequence[float] | None = None,
-    theta_values: Sequence[float] | None = None,
-) -> SweepTable:
-    """AK (closed form) and EK (orientation search) over an (R, theta) sweep."""
-    if r_values is None:
-        if scenario.sweep is not None:
-            r_values = scenario.sweep.values()
-        else:
-            r_values = list(np.linspace(300.0, 1000.0, 15))
-    if theta_values is None:
-        theta_values = scenario.theta_list or DEFAULT_KMAX_THETAS
-    ak, ek = [], []
-    for R in r_values:
-        for theta in theta_values:
-            placement = PolarPlacement(R=float(R), theta=float(theta))
+def cmd_kmax_sweep(scenario: Scenario) -> SweepTable:
+    """AK (closed form) and EK (orientation search) over an (R, theta) sweep.
+
+    AK comes first for every pair, so a pair without a K number exits before
+    any search.  Its error names theta_list[i] at theta = pi/2 (the segment's
+    axis) or when there is no sweep, else sweep.start (a center on the
+    segment: small R) or sweep.stop (a zero angle: large R).
+    """
+    if scenario.sweep is not None:
+        rs = scenario.sweep.values()
+    else:
+        rs = list(np.linspace(300.0, 1000.0, 15))
+    thetas = scenario.theta_list or DEFAULT_KMAX_THETAS
+    placements = [PolarPlacement(R=float(R), theta=float(theta)) for R in rs for theta in thetas]
+    ak = []
+    for j, placement in enumerate(placements):
+        try:
             ak.append(k_number_max(placement, scenario.Lp, scenario.Ls).value)
-            search = maximize_k(
-                placement, scenario.Lp, scenario.Ls, grid=scenario.grid, quad_points=scenario.quad_points
-            )
-            ek.append(search.best_k.value)
+        except (DegeneratePoint, DegenerateGeometry) as exc:
+            field = "sweep.start" if isinstance(exc, DegeneratePoint) else "sweep.stop"
+            if placement.theta == 0.5 * math.pi or scenario.sweep is None:
+                field = f"theta_list[{j % len(thetas)}]"
+            raise RangeError(f"{field}: {exc} (R={placement.R:g}, theta={placement.theta:g})") from None
+    ek = []
+    for p in placements:
+        search = maximize_k(p, scenario.Lp, scenario.Ls, grid=scenario.grid, quad_points=scenario.quad_points)
+        ek.append(search.best_k.value)
     return SweepTable(
         columns=["R", "theta", "AK", "EK"],
-        rows=_tensor_rows(r_values, theta_values, ak, ek),
+        rows=_tensor_rows(rs, thetas, ak, ek),
         command="kmax-sweep",
         notes=[
             f"Ls={scenario.Ls:.17g} Lp={scenario.Lp:.17g}",
@@ -142,7 +148,7 @@ def cmd_kmax_sweep(
     )
 
 
-def cmd_svd_spectrum(scenarios: Sequence[Scenario], tau: float = DEFAULT_EDOF_TAU) -> SweepTable:
+def cmd_svd_spectrum(scenarios: Sequence[Scenario], tau: float = DEFAULT_TAU) -> SweepTable:
     """Normalized singular spectrum plus K/EDoF summaries for each scenario.
 
     The channel is built at the scenario's (resolved) orientation; EK is the
@@ -151,13 +157,12 @@ def cmd_svd_spectrum(scenarios: Sequence[Scenario], tau: float = DEFAULT_EDOF_TA
     """
     blocks = []
     for sc in scenarios:
-        p0 = sc.placement.point()
-        v = sc.orientation_vector()
+        receiver = ArraySegment(sc.placement.point(), sc.orientation_vector(), sc.Lp)
         tx = antenna_grid(ArraySegment((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), sc.Ls), sc.spacing_s)
-        rx = antenna_grid(ArraySegment(p0, v, sc.Lp), sc.spacing_p)
+        rx = antenna_grid(receiver, sc.spacing_p)
         H = los_channel(tx, rx, sc.lambda_m)
         spectrum = singular_spectrum(H)
-        ak = k_number_center(ArraySegment(p0, v, sc.Lp), sc.Ls).value
+        ak = k_number_center(receiver, sc.Ls).value
         ek = maximize_k(
             sc.placement, sc.Lp, sc.Ls, grid=sc.grid, quad_points=sc.quad_points
         ).best_k.value
@@ -237,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("svd-spectrum", help="singular spectra and EDoF per scenario")
     add_common(p)
     add_search(p)
-    p.add_argument("--tau", type=_option(float, threshold_tau), default=DEFAULT_EDOF_TAU,
+    p.add_argument("--tau", type=_option(float, threshold_tau), default=DEFAULT_TAU,
                    help="EDoF threshold on normalized singular values (default %(default)s)")
 
     p = sub.add_parser("validate", help="run oracle-equivalence self checks")

@@ -14,9 +14,9 @@ from enum import Enum
 
 import numpy as np
 
-from .bandwidth import OrientationAngles, local_bandwidth_closed, reduce_phi_prime
+from .bandwidth import OrientationAngles, local_bandwidth_closed, max_bandwidth, reduce_phi_prime
 from .errors import DegenerateGeometry
-from .geometry import ArraySegment, K0, PolarPlacement, geometry_angles
+from .geometry import ArraySegment, PolarPlacement, geometry_angles
 from .numerics import QuadratureRule, integrate
 
 DEFAULT_QUAD_POINTS = 129
@@ -67,11 +67,11 @@ def k_number_center(receiver: ArraySegment, Ls: float) -> KNumber:
 
 
 def k_number_max(placement: PolarPlacement, Lp: float, Ls: float) -> KNumber:
-    """Center approximation at the optimal orientation: (K0 Lp / pi) sin(alpha/2)."""
+    """Center approximation at the optimal orientation: (Lp / 2pi) max_bandwidth(alpha)."""
     alpha = geometry_angles(placement, Ls).alpha
     if alpha <= 0.0:
         raise DegenerateGeometry("subtended angle is zero; K number is zero at every orientation")
-    value = K0 * Lp / math.pi * math.sin(0.5 * alpha)
+    value = Lp * max_bandwidth(alpha) / (2.0 * math.pi)
     return KNumber(value=value, method=KMethod.CENTER_APPROX_MAX)
 
 

@@ -65,27 +65,26 @@ def hermitian_eigenvalues(
     Raises
     ------
     ValueError
-        If the input is not square or not Hermitian to HERMITIAN_TOL.
+        If the input is not square, has a non-finite entry, or is not
+        Hermitian to HERMITIAN_TOL.
     NumericalFailure
         If the sweep budget is exhausted before convergence.
     """
     A = np.array(M, dtype=np.complex128)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise ValueError("matrix has non-finite entries")
     n = A.shape[0]
     fro = float(np.linalg.norm(A))
-    if fro == 0.0:
-        return np.zeros(n)
     herm_dev = float(np.linalg.norm(A - A.conj().T))
     if herm_dev > HERMITIAN_TOL * fro:
         raise ValueError(f"matrix is not Hermitian: relative deviation {herm_dev / fro:.3e}")
     A = 0.5 * (A + A.conj().T)
-    if n == 1:
-        return np.array([A[0, 0].real])
 
     target = tol * fro
     # Pivots this small cannot push the off-norm above target even all together.
-    skip = target / (2.0 * n)
+    skip = target / (2.0 * max(n, 1))  # max: a 0 x 0 input has no pivots
 
     for _ in range(max_sweeps):
         off = _offdiag_norm(A)

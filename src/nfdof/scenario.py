@@ -33,10 +33,10 @@ from typing import IO, Iterable, Mapping
 
 import numpy as np
 
-from .bandwidth import OrientationAngles
+from .bandwidth import OrientationAngles, orientation_angles
 from .channel import grid_steps
 from .errors import DegeneratePoint, RangeError, SchemaError
-from .geometry import PolarPlacement, Vec3, geometry_angles
+from .geometry import PolarPlacement, Vec3, geometry_angles, optimal_orientation
 from .knumber import DEFAULT_QUAD_POINTS, DEFAULT_SEARCH_GRID
 
 DEFAULT_SPACING = 0.5
@@ -203,12 +203,10 @@ def _scenario_from_dict(doc: Mapping, config_id: int = 0, path: str = "") -> Sce
             f"{path}placement.theta: the transmit segment subtends a zero angle at theta={theta:g},"
             f" R={R:g} (the segment's axis is theta = pi/2)"
         )
-    beta = angles.beta
 
     odoc = doc.get("orientation", "optimal")
     if odoc == "optimal":
-        # v_NP = (0, -sin beta, cos beta) corresponds to (psi, phi) = (pi/2, beta + pi/2)
-        orientation = OrientationAngles(psi=0.5 * math.pi, phi=beta + 0.5 * math.pi)
+        orientation = orientation_angles(optimal_orientation(angles))
         mode = "optimal"
     elif isinstance(odoc, dict):
         psi = _in_range(_require(odoc, "psi", path + "orientation."), path + "orientation.psi", 0.0, math.pi)

@@ -68,15 +68,13 @@ def _random_placement(rng: np.random.Generator, theta_max: float) -> PolarPlacem
 
 
 def _random_config(rng: np.random.Generator, Ls: float):
-    R = rng.uniform(60.0, 2000.0)
-    theta = rng.uniform(0.0, 0.5 * math.pi * 0.999999)
+    _, rho, z = _random_placement(rng, 0.5 * math.pi * 0.999999).point()
     psi = rng.uniform(0.0, math.pi)
     phi = rng.uniform(0.0, math.pi)
     azimuth = rng.uniform(0.0, 2.0 * math.pi)
     z_sign = 1.0 if rng.uniform() < 0.5 else -1.0
     # place the point anywhere in 3D; canonicalization brings it back
-    rho = R * math.cos(theta)
-    p = (rho * math.cos(azimuth), rho * math.sin(azimuth), z_sign * R * math.sin(theta))
+    p = (rho * math.cos(azimuth), rho * math.sin(azimuth), z_sign * z)
     return p, OrientationAngles(psi, phi).vector()
 
 

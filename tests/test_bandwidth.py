@@ -8,6 +8,7 @@ import pytest
 
 from nfdof import (
     K0,
+    OrientationAngles,
     PolarPlacement,
     canonicalize,
     fmax_fmin,
@@ -236,6 +237,11 @@ class TestBranchStructure:
             phis = np.concatenate([np.linspace(0.0, math.pi, 257), near, [0.0, math.pi]])
             scalar = [omega_from_angles(0.5 * math.pi, float(pp), alpha) for pp in phis]
             assert omega_profile(phis, alpha).tolist() == scalar
+            square = phis[:256].reshape(16, 16)
+            assert omega_profile(square, alpha).shape == (16, 16)
+            assert omega_profile(square, alpha).ravel().tolist() == scalar[:256]
+            point = omega_profile(np.float64(half), alpha)
+            assert point.shape == () and point == omega_from_angles(0.5 * math.pi, half, alpha)
 
     @pytest.mark.parametrize(
         "psi, phi_prime, alpha",
@@ -360,6 +366,23 @@ class TestOrientationRecovery:
         phi = orientation_angles((0.0, -1.0, -0.0)).phi
         assert phi == 0.0 and math.copysign(1.0, phi) == 1.0
         assert math.copysign(1.0, reduce_phi_prime(-math.pi, 0.0)) == 1.0
+
+    @pytest.mark.parametrize("psi", [1e-4, 1e-6, 1e-8, math.pi - 1e-8])
+    def test_polar_angle_near_the_poles_matches_mpmath(self, psi):
+        # The float psi can be off by an ulp, which sin(psi) turns into a
+        # relative error of ulp(psi) / min(psi, pi - psi): 4.4e-8 at pi - 1e-8.
+        # acos(v_x) returns 0 or pi for the last two cases, a relative error of 1.
+        v = OrientationAngles(psi, 1.3).vector()
+        p = (0.0, 433.0, 250.0)  # already canonical: the direction is not rotated
+        with mpmath.workdps(40):
+            vx, vy, vz = (mpmath.mpf(c) for c in v)
+            psi_ref = mpmath.atan2(mpmath.hypot(vy, vz), vx)
+        ang = geometry_angles(canonicalize(p, v, LS)[0], LS)
+        phi_prime = reduce_phi_prime(math.atan2(v[2], v[1]), ang.beta)
+        omega_ref = omega_mpmath(psi_ref, phi_prime, ang.alpha)
+        bound = 1e-13 + 2.0 * math.ulp(psi) / min(psi, math.pi - psi)
+        assert abs(orientation_angles(v).psi - psi_ref) <= 2.0 * math.ulp(psi)
+        assert abs(local_bandwidth_closed(p, v, LS) - omega_ref) <= bound * omega_ref
 
     def test_poles_get_zero_azimuth(self):
         assert orientation_angles((1.0, 0.0, 0.0)).phi == 0.0

@@ -172,6 +172,22 @@ class TestHermitianEigenvalues:
         with pytest.raises(ValueError):
             hermitian_eigenvalues(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected_before_any_sweep(self, bad):
+        M = np.eye(40)
+        M[0, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            hermitian_eigenvalues(M)
+        M = np.eye(3)
+        M[0, 1] = M[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            hermitian_eigenvalues(M)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_smallest_orders_need_no_sweep(self, n):
+        M = np.full((n, n), -2.5 + 0.0j)
+        assert hermitian_eigenvalues(M, max_sweeps=0).tolist() == [-2.5] * n
+
     def test_sweep_budget_exhaustion(self):
         M = np.array([[2.0, 1.0], [1.0, 2.0]])
         with pytest.raises(NumericalFailure):

@@ -360,10 +360,12 @@ class TestSweepCommands:
     def test_rows_are_one_float_array(self, command):
         small = dict(MINIMAL, Ls=16, Lp=16, placement={"R": 60, "theta": 0.3}, grid=[8, 8], quad_points=3)
         sc = parse_scenario(json.dumps(small))
+        sweep = {"variable": "R", "start": 60, "stop": 80, "count": 2}
+        kmax = parse_scenario(json.dumps(dict(small, sweep=sweep, theta_list=[0.0, 0.3, 0.6])))
         table = {
             "localbw": lambda: cmd_localbw_sweep(sc, n_points=5),
             "maxbw": lambda: cmd_maxbw_map(sc, extent=100.0, n_points=5),
-            "kmax": lambda: cmd_kmax_sweep(sc, r_values=[60.0, 80.0], theta_values=[0.0, 0.3, 0.6]),
+            "kmax": lambda: cmd_kmax_sweep(kmax),
             "svd": lambda: cmd_svd_spectrum(parse_scenarios(json.dumps({"scenarios": [small, small]}))),
         }[command]()
         n_rows = {"localbw": 25, "maxbw": 25, "kmax": 6, "svd": 66}[command]
@@ -548,6 +550,27 @@ class TestCliMain:
         cfg = tmp_path / "spectra.json"
         cfg.write_text(json.dumps({"scenarios": [dict(MINIMAL, **overrides)]}))
         assert main(["svd-spectrum", "--config", str(cfg), "--grid", "8", "--quad", "3"]) == 2
+        assert capsys.readouterr().err.startswith(f"nfdof: error: {field}: ")
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"theta_list": [0.3, math.pi / 2]}, "theta_list[1]"),
+            ({"sweep": {"variable": "R", "start": 1e-10, "stop": 500, "count": 3}}, "sweep.start"),
+            ({"sweep": {"variable": "R", "start": 500, "stop": 1e300, "count": 3}}, "sweep.stop"),
+            (
+                {"sweep": {"variable": "R", "start": 10, "stop": 500}, "theta_list": [0.3, math.pi / 2]},
+                "theta_list[1]",
+            ),
+        ],
+    )
+    def test_kmax_pairs_checked_before_any_search(self, tmp_path, capsys, monkeypatch, overrides, field):
+        import nfdof.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "maximize_k", lambda *a, **k: pytest.fail("a search ran"))
+        cfg = tmp_path / "kmax.json"
+        cfg.write_text(scenario_text(**overrides))
+        assert main(["kmax-sweep", "--config", str(cfg), "--grid", "8", "--quad", "3"]) == 2
         assert capsys.readouterr().err.startswith(f"nfdof: error: {field}: ")
 
     def test_validate_failure_exit_code(self, capsys, monkeypatch):
