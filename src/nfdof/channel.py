@@ -20,6 +20,8 @@ from .numerics import hermitian_eigenvalues
 GRID_INTEGRALITY_TOL = 1e-9
 MAX_GRID_STEPS = 10_000
 "Most antenna spacings along one array: a 10,001 x 10,001 channel is 1.6 GB."
+MAX_CHANNEL_ENTRIES = 4_000_000
+"Most n_rx * n_tx entries of one channel: los_channel's (n_rx, n_tx, 3) differences take 96 MB here."
 DEFAULT_TAU = 0.1
 "EDoF threshold on normalized singular values when none is given."
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,14 +35,14 @@ from .errors import DegenerateGeometry, DegeneratePoint, RangeError
 from .geometry import ArraySegment, K0, PolarPlacement, SEGMENT_TOL, geometry_angles
 from .knumber import k_number_center, k_number_max, maximize_k
 from .scenario import (
+    DEFAULT_SWEEP_COUNT,
     Scenario,
+    SweepSpec,
     SweepTable,
     _integer,
     _positive,
     parse_scenario,
     parse_scenarios,
-    quad_point_count,
-    search_grid_axis,
     sha256_of,
 )
 from .validation import run_validation
@@ -51,6 +50,7 @@ from .validation import run_validation
 DEFAULT_ORIENTATION_POINTS = 181
 DEFAULT_MAP_EXTENT = 300.0
 DEFAULT_MAP_POINTS = 601
+DEFAULT_KMAX_SWEEP = SweepSpec("R", 300.0, 1000.0, DEFAULT_SWEEP_COUNT)
 DEFAULT_KMAX_THETAS = (0.0, math.pi / 6.0, math.pi / 3.0)
 MAX_AXIS_POINTS = 2001  # a 2001 x 2001 maxbw-map is 4 million rows, a 213 MB CSV
 MAX_CASES = 10_000
@@ -118,10 +118,7 @@ def cmd_kmax_sweep(scenario: Scenario) -> SweepTable:
     axis) or when there is no sweep, else sweep.start (a center on the
     segment: small R) or sweep.stop (a zero angle: large R).
     """
-    if scenario.sweep is not None:
-        rs = scenario.sweep.values()
-    else:
-        rs = list(np.linspace(300.0, 1000.0, 15))
+    rs = (scenario.sweep or DEFAULT_KMAX_SWEEP).values()
     thetas = scenario.theta_list or DEFAULT_KMAX_THETAS
     placements = [PolarPlacement(R=float(R), theta=float(theta)) for R in rs for theta in thetas]
     ak = []
@@ -208,20 +205,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"nfdof {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    seed = _option(int, _integer, 0, math.inf)
     axis_points = _option(int, _integer, 2, MAX_AXIS_POINTS)
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", required=True, help="scenario JSON file")
         p.add_argument("--out", default=None, help="output CSV file (default: stdout)")
-        p.add_argument("--seed", type=seed, default=0,
-                       help="recorded in the provenance header; sweeps are deterministic")
-
-    def add_search(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--grid", type=_option(int, search_grid_axis), default=None,
-                       help="orientation-search grid per axis (default: scenario grid)")
-        p.add_argument("--quad", type=_option(int, quad_point_count), default=None,
-                       help="quadrature nodes (default: scenario quad_points)")
 
     p = sub.add_parser("localbw-sweep", help="bandwidth over receive orientations")
     add_common(p)
@@ -237,35 +225,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kmax-sweep", help="AK and EK over an (R, theta) sweep")
     add_common(p)
-    add_search(p)
 
     p = sub.add_parser("svd-spectrum", help="singular spectra and EDoF per scenario")
     add_common(p)
-    add_search(p)
     p.add_argument("--tau", type=_option(float, threshold_tau), default=DEFAULT_TAU,
                    help="EDoF threshold on normalized singular values (default %(default)s)")
 
     p = sub.add_parser("validate", help="run oracle-equivalence self checks")
-    p.add_argument("--seed", type=seed, default=0, help="RNG seed (default %(default)s)")
+    p.add_argument("--seed", type=_option(int, _integer, 0, math.inf), default=0,
+                   help="RNG seed (default %(default)s)")
     p.add_argument("--cases", type=_option(int, _integer, 1, MAX_CASES), default=200,
                    help="random cases for the oracle comparison (default %(default)s)")
 
     return parser
 
 
-def _with_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
-    """The search --grid and --quad of kmax-sweep and svd-spectrum, checked by argparse."""
-    changes = {}
-    if args.grid is not None:
-        changes["grid"] = (args.grid, args.grid)
-    if args.quad is not None:
-        changes["quad_points"] = args.quad
-    return replace(scenario, **changes)
-
-
-def _emit(table: SweepTable, out: str | None, config_text: str, seed: int) -> None:
+def _emit(table: SweepTable, out: str | None, config_text: str) -> None:
     table.scenario_sha256 = sha256_of(config_text)
-    table.notes.append(f"seed: {seed}")
     if out is None:
         table.write_csv(sys.stdout, version=__version__)
     else:
@@ -286,8 +262,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         with open(args.config, encoding="utf-8") as fh:
             config_text = fh.read()
         if args.command == "svd-spectrum":
-            scenarios = [_with_overrides(sc, args) for sc in parse_scenarios(config_text)]
-            table = cmd_svd_spectrum(scenarios, tau=args.tau)
+            table = cmd_svd_spectrum(parse_scenarios(config_text), tau=args.tau)
         else:
             scenario = parse_scenario(config_text)
             if args.command == "localbw-sweep":
@@ -295,8 +270,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             elif args.command == "maxbw-map":
                 table = cmd_maxbw_map(scenario, extent=args.extent, n_points=args.grid)
             else:
-                table = cmd_kmax_sweep(_with_overrides(scenario, args))
-        _emit(table, args.out, config_text, args.seed)
+                table = cmd_kmax_sweep(scenario)
+        _emit(table, args.out, config_text)
     except (OSError, ValueError) as exc:
         print(f"nfdof: error: {exc}", file=sys.stderr)
         return 2

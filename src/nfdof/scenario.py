@@ -19,7 +19,8 @@ Only lambda_m, Ls, Lp and placement are required.  "optimal" resolves to
 the bandwidth-maximizing receive direction for the given placement, which
 must lie neither on the transmit segment nor on its axis.  A spacing given
 in the document must divide its array length; the default lambda/2 is
-checked only where svd-spectrum places antennas.
+checked only by parse_scenarios, the parser of svd-spectrum, which places
+antennas and also caps the channel at MAX_CHANNEL_ENTRIES.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import IO, Iterable, Mapping
 import numpy as np
 
 from .bandwidth import OrientationAngles, orientation_angles
-from .channel import grid_steps
+from .channel import MAX_CHANNEL_ENTRIES, grid_steps
 from .errors import DegeneratePoint, RangeError, SchemaError
 from .geometry import PolarPlacement, Vec3, geometry_angles, optimal_orientation
 from .knumber import DEFAULT_QUAD_POINTS, DEFAULT_SEARCH_GRID
@@ -54,11 +55,9 @@ class SweepSpec:
     stop: float
     count: int
 
-    def values(self) -> list[float]:
-        if self.count == 1:
-            return [self.start]
-        step = (self.stop - self.start) / (self.count - 1)
-        return [self.start + i * step for i in range(self.count)]
+    def values(self) -> np.ndarray:
+        """``count`` values from start to stop, both exact."""
+        return np.linspace(self.start, self.stop, self.count)
 
 
 @dataclass(frozen=True)
@@ -121,27 +120,19 @@ def _integer(value: object, path: str, lo: int, hi: float) -> int:
     return value
 
 
-def search_grid_axis(value: object, path: str) -> int:
-    """Orientation-search points along one axis, in [8, MAX_GRID]."""
-    return _integer(value, path, 8, MAX_GRID)
-
-
-def quad_point_count(value: object, path: str) -> int:
-    """Simpson quadrature nodes: odd, in [3, MAX_QUAD_POINTS]."""
-    n = _integer(value, path, 3, MAX_QUAD_POINTS)
-    if n % 2 == 0:
-        raise RangeError(f"{path}: {n} must be odd")
-    return n
+def _antennas(length: float, spacing: float, path: str) -> int:
+    """Antennas on an array of ``length`` at ``spacing``; the spacing must divide the length."""
+    try:
+        return grid_steps(length, spacing) + 1
+    except ValueError as exc:  # NonIntegerGrid, or too many antennas
+        raise RangeError(f"{path}: {exc}") from None
 
 
 def _spacing(doc: Mapping, key: str, length: float, path: str) -> float:
     if key not in doc:
         return DEFAULT_SPACING
     spacing = _positive(doc[key], path + key)
-    try:
-        grid_steps(length, spacing)
-    except ValueError as exc:  # NonIntegerGrid, or too many antennas
-        raise RangeError(f"{path}{key}: {exc}") from None
+    _antennas(length, spacing, path + key)
     return spacing
 
 
@@ -166,10 +157,14 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def parse_scenarios(text: str) -> list[Scenario]:
-    """Parse either a single scenario or {"scenarios": [...]} into a list."""
+    """Parse either a single scenario or {"scenarios": [...]} into a list of channels.
+
+    Beyond parse_scenario, each spacing (the default lambda/2 too) must divide
+    its length, and each channel has at most MAX_CHANNEL_ENTRIES entries.
+    """
     doc = _decode(text)
     if "scenarios" not in doc:
-        return [_scenario_from_dict(doc)]
+        return [_channel_scenario(doc)]
     items = doc["scenarios"]
     if not isinstance(items, list) or not items:
         raise SchemaError("scenarios: expected a non-empty array")
@@ -177,8 +172,18 @@ def parse_scenarios(text: str) -> list[Scenario]:
     for i, item in enumerate(items):
         if not isinstance(item, dict):
             raise SchemaError(f"scenarios[{i}]: expected an object")
-        out.append(_scenario_from_dict(item, config_id=i, path=f"scenarios[{i}]."))
+        out.append(_channel_scenario(item, config_id=i, path=f"scenarios[{i}]."))
     return out
+
+
+def _channel_scenario(doc: Mapping, config_id: int = 0, path: str = "") -> Scenario:
+    """A scenario whose channel fits MAX_CHANNEL_ENTRIES, checked before any antenna is placed."""
+    sc = _scenario_from_dict(doc, config_id, path)
+    n_tx = _antennas(sc.Ls, sc.spacing_s, path + "spacing_s")
+    n_rx = _antennas(sc.Lp, sc.spacing_p, path + "spacing_p")
+    if n_rx * n_tx > MAX_CHANNEL_ENTRIES:
+        raise RangeError(f"{path}spacing_p: {n_rx} x {n_tx} antennas exceed {MAX_CHANNEL_ENTRIES} entries")
+    return sc
 
 
 def _scenario_from_dict(doc: Mapping, config_id: int = 0, path: str = "") -> Scenario:
@@ -218,12 +223,16 @@ def _scenario_from_dict(doc: Mapping, config_id: int = 0, path: str = "") -> Sce
 
     spacing_s = _spacing(doc, "spacing_s", Ls, path)
     spacing_p = _spacing(doc, "spacing_p", Lp, path)
-    quad_points = quad_point_count(doc.get("quad_points", DEFAULT_QUAD_POINTS), path + "quad_points")
+    quad_points = _integer(
+        doc.get("quad_points", DEFAULT_QUAD_POINTS), f"{path}quad_points", 3, MAX_QUAD_POINTS
+    )
+    if quad_points % 2 == 0:  # Simpson's rule
+        raise RangeError(f"{path}quad_points: {quad_points} must be odd")
 
     gdoc = doc.get("grid", list(DEFAULT_SEARCH_GRID))
     if not isinstance(gdoc, list) or len(gdoc) != 2:
         raise SchemaError(f"{path}grid: expected [n_psi, n_phi] integers, got {gdoc!r}")
-    grid = (search_grid_axis(gdoc[0], f"{path}grid[0]"), search_grid_axis(gdoc[1], f"{path}grid[1]"))
+    grid = tuple(_integer(n, f"{path}grid[{i}]", 8, MAX_GRID) for i, n in enumerate(gdoc))
 
     sweep = None
     if "sweep" in doc:

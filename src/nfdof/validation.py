@@ -67,7 +67,7 @@ def _random_placement(rng: np.random.Generator, theta_max: float) -> PolarPlacem
     return PolarPlacement(R=rng.uniform(60.0, 2000.0), theta=rng.uniform(0.0, theta_max))
 
 
-def _random_config(rng: np.random.Generator, Ls: float):
+def _random_config(rng: np.random.Generator):
     _, rho, z = _random_placement(rng, 0.5 * math.pi * 0.999999).point()
     psi = rng.uniform(0.0, math.pi)
     phi = rng.uniform(0.0, math.pi)
@@ -85,7 +85,7 @@ def check_closed_vs_oracle(seed: int, n_cases: int, corruption: float = 0.0) -> 
     worst = 0.0
     tol = 0.0
     for _ in range(n_cases):
-        p, v = _random_config(rng, Ls)
+        p, v = _random_config(rng)
         closed = local_bandwidth_closed(p, v, Ls) + corruption
         oracle = local_bandwidth_oracle(p, v, Ls, DEFAULT_ORACLE_SAMPLES)
         alpha = geometry_angles(canonicalize(p, v, Ls)[0], Ls).alpha

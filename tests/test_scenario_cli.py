@@ -1,8 +1,10 @@
 """Scenario parsing, CSV contract, subcommands, and exit codes."""
 
+import argparse
 import io
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,9 +12,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nfdof import parse_scenario, parse_scenarios, run_validation
+from nfdof.channel import MAX_CHANNEL_ENTRIES
 from nfdof.cli import (
     MAX_AXIS_POINTS,
     MAX_CASES,
+    _build_parser,
     cmd_kmax_sweep,
     cmd_localbw_sweep,
     cmd_maxbw_map,
@@ -25,6 +29,7 @@ from nfdof.scenario import (
     MAX_GRID,
     MAX_QUAD_POINTS,
     MAX_SWEEP_COUNT,
+    SweepSpec,
     SweepTable,
     read_table,
     sha256_of,
@@ -108,6 +113,13 @@ class TestParseScenario:
         vals = sc.sweep.values()
         assert len(vals) == 8
         assert vals[0] == 300.0 and vals[-1] == 1000.0
+
+    @pytest.mark.parametrize("count", [7, 13, 29, 100])
+    def test_sweep_ends_at_stop(self, count):
+        # start + i * step misses 1.0 by an ulp at these counts
+        vals = SweepSpec("R", 0.1, 1.0, count).values()
+        assert len(vals) == count
+        assert vals[0] == 0.1 and vals[-1] == 1.0
 
     def test_theta_list_range_checked(self):
         with pytest.raises(RangeError, match=r"theta_list\[1\]"):
@@ -233,6 +245,31 @@ class TestFieldChecks:
         sc = parse_scenario(scenario_text(Ls=87.3, Lp=12.34))
         assert sc.spacing_s == sc.spacing_p == 0.5
 
+    def test_channel_parser_checks_the_default_spacing(self):
+        text = json.dumps({"scenarios": [MINIMAL, dict(MINIMAL, Ls=87.3)]})
+        with pytest.raises(RangeError, match=r"^scenarios\[1\]\.spacing_s: length 87.3 is not an integer"):
+            parse_scenarios(text)
+
+    def test_channel_size_cap_parses(self):
+        # 999.5 / 0.5 + 1 = 2000 antennas on each array
+        (sc,) = parse_scenarios(scenario_text(Ls=999.5, Lp=999.5))
+        assert 2000 * 2000 == MAX_CHANNEL_ENTRIES
+        assert sc.Lp == 999.5
+
+    @pytest.mark.parametrize(
+        "overrides, counts",
+        [({"Ls": 999.5, "Lp": 1000}, "2001 x 2000"), ({"Ls": 5000, "Lp": 5000}, "10001 x 10001")],
+    )
+    def test_channel_over_the_cap_names_spacing_p(self, overrides, counts):
+        # each array is within its own 10,001-antenna cap; the product is not
+        with pytest.raises(RangeError, match=rf"^spacing_p: {counts} antennas exceed {MAX_CHANNEL_ENTRIES}"):
+            parse_scenarios(scenario_text(**overrides))
+        text = json.dumps({"scenarios": [MINIMAL, dict(MINIMAL, **overrides)]})
+        with pytest.raises(RangeError, match=rf"^scenarios\[1\]\.spacing_p: {counts} antennas"):
+            parse_scenarios(text)
+        # sweeps and maps build no channel
+        assert parse_scenario(scenario_text(**overrides)).Lp == overrides["Lp"]
+
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
@@ -308,6 +345,15 @@ class TestSweepCommands:
         # mirror symmetry in both axes
         assert rows[(-500.0, 0.0)] == rows[(500.0, 0.0)]
         assert rows[(100.0, -50.0)] == rows[(100.0, 50.0)]
+
+    def test_kmax_sweep_default_r_values(self, monkeypatch):
+        import nfdof.cli as cli_mod
+
+        found = SimpleNamespace(best_k=SimpleNamespace(value=1.0))
+        monkeypatch.setattr(cli_mod, "maximize_k", lambda *a, **k: found)
+        table = cmd_kmax_sweep(parse_scenario(scenario_text(theta_list=[0.2])))
+        assert table.rows[:, 0].tolist() == np.linspace(300.0, 1000.0, 15).tolist()
+        assert table.rows[-1, 0] == 1000.0
 
     def test_kmax_sweep_table(self):
         sc = parse_scenario(
@@ -444,9 +490,8 @@ class TestCliMain:
         assert rc == 0
         out = capsys.readouterr().out
         assert "y,z,omega_max_over_k0" in out
-        assert "# seed: 0" in out
-        # 81 data rows + 8 comment lines + 1 column row
-        assert out.count("\n") == 9 * 9 + 8 + 1
+        # 81 data rows + 7 comment lines + 1 column row
+        assert out.count("\n") == 9 * 9 + 7 + 1
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
@@ -494,12 +539,6 @@ class TestCliMain:
     @pytest.mark.parametrize(
         "command, config, option, value",
         [
-            ("kmax-sweep", "kmax.json", "--grid", str(MAX_GRID + 1)),
-            ("kmax-sweep", "kmax.json", "--grid", "1000000000"),
-            ("kmax-sweep", "kmax.json", "--quad", "64"),
-            ("kmax-sweep", "kmax.json", "--quad", str(MAX_QUAD_POINTS + 2)),
-            ("svd-spectrum", "spectra.json", "--grid", "7"),
-            ("svd-spectrum", "spectra.json", "--quad", "1000000001"),
             ("maxbw-map", "kmax.json", "--grid", "0"),
             ("maxbw-map", "kmax.json", "--grid", "-5"),
             ("maxbw-map", "kmax.json", "--grid", str(MAX_AXIS_POINTS + 1)),
@@ -508,7 +547,6 @@ class TestCliMain:
             ("maxbw-map", "kmax.json", "--extent", "0"),
             ("localbw-sweep", "kmax.json", "--grid", "1"),
             ("localbw-sweep", "kmax.json", "--grid", "1000000000"),
-            ("localbw-sweep", "kmax.json", "--seed", "-1"),
             ("svd-spectrum", "spectra.json", "--tau", "1.5"),
             ("svd-spectrum", "spectra.json", "--tau", "0"),
             ("svd-spectrum", "spectra.json", "--tau", "nan"),
@@ -549,7 +587,7 @@ class TestCliMain:
         monkeypatch.setattr(cli_mod, "cmd_svd_spectrum", lambda *a, **k: pytest.fail("a job ran"))
         cfg = tmp_path / "spectra.json"
         cfg.write_text(json.dumps({"scenarios": [dict(MINIMAL, **overrides)]}))
-        assert main(["svd-spectrum", "--config", str(cfg), "--grid", "8", "--quad", "3"]) == 2
+        assert main(["svd-spectrum", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith(f"nfdof: error: {field}: ")
 
     @pytest.mark.parametrize(
@@ -570,8 +608,18 @@ class TestCliMain:
         monkeypatch.setattr(cli_mod, "maximize_k", lambda *a, **k: pytest.fail("a search ran"))
         cfg = tmp_path / "kmax.json"
         cfg.write_text(scenario_text(**overrides))
-        assert main(["kmax-sweep", "--config", str(cfg), "--grid", "8", "--quad", "3"]) == 2
+        assert main(["kmax-sweep", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith(f"nfdof: error: {field}: ")
+
+    def test_channel_over_the_cap_exits_before_any_antenna_is_placed(self, tmp_path, capsys, monkeypatch):
+        import nfdof.cli as cli_mod
+
+        for name in ("antenna_grid", "los_channel", "cmd_svd_spectrum"):
+            monkeypatch.setattr(cli_mod, name, lambda *a, **k: pytest.fail("a channel was built"))
+        cfg = tmp_path / "spectra.json"
+        cfg.write_text(json.dumps({"scenarios": [dict(MINIMAL, Ls=5000, Lp=5000)]}))
+        assert main(["svd-spectrum", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("nfdof: error: scenarios[0].spacing_p: 10001 x 10001 ")
 
     def test_validate_failure_exit_code(self, capsys, monkeypatch):
         import nfdof.cli as cli_mod
@@ -583,6 +631,53 @@ class TestCliMain:
         monkeypatch.setattr(cli_mod, "run_validation", lambda *a, **k: failing)
         assert main(["validate", "--seed", "1", "--cases", "1"]) == 1
         assert "FAIL sentinel" in capsys.readouterr().out
+
+
+def options_of(command):
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {o for a in sub.choices[command]._actions for o in a.option_strings} - {"-h", "--help"}
+
+
+class TestOptionSurface:
+    """Each job parameter has one source: the scenario document, or one option."""
+
+    @pytest.mark.parametrize(
+        "command, options",
+        [
+            ("localbw-sweep", {"--config", "--out", "--grid"}),
+            ("maxbw-map", {"--config", "--out", "--grid", "--extent"}),
+            ("kmax-sweep", {"--config", "--out"}),
+            ("svd-spectrum", {"--config", "--out", "--tau"}),
+            ("validate", {"--seed", "--cases"}),
+        ],
+    )
+    def test_options_per_subcommand(self, command, options):
+        assert options_of(command) == options
+
+    @pytest.mark.parametrize(
+        "command, option, value",
+        [
+            ("kmax-sweep", "--grid", "8"),
+            ("kmax-sweep", "--quad", "3"),
+            ("svd-spectrum", "--grid", "8"),
+            ("svd-spectrum", "--quad", "3"),
+            ("localbw-sweep", "--seed", "0"),
+            ("maxbw-map", "--seed", "0"),
+            ("kmax-sweep", "--seed", "0"),
+            ("svd-spectrum", "--seed", "0"),
+        ],
+    )
+    def test_removed_options_are_unrecognized(self, tmp_path, capsys, monkeypatch, command, option, value):
+        import nfdof.cli as cli_mod
+
+        for name in JOBS:
+            monkeypatch.setattr(cli_mod, name, lambda *a, **k: pytest.fail("a job ran"))
+        cfg = tmp_path / "s.json"
+        cfg.write_text(scenario_text())
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg), option, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
 
 
 # what each kind of command-line number may be once it reaches a job
@@ -597,13 +692,8 @@ IN_BOUNDS = {
 }
 NUMBER_OPTIONS = [
     ("localbw-sweep", "--grid"),
-    ("localbw-sweep", "--seed"),
     ("maxbw-map", "--grid"),
     ("maxbw-map", "--extent"),
-    ("kmax-sweep", "--grid"),
-    ("kmax-sweep", "--quad"),
-    ("svd-spectrum", "--grid"),
-    ("svd-spectrum", "--quad"),
     ("svd-spectrum", "--tau"),
     ("validate", "--seed"),
     ("validate", "--cases"),
@@ -643,8 +733,8 @@ def _recording_jobs(reached: list) -> dict:
         reached.extend([("seed", seed), ("cases", n_cases)])
         return ValidationReport(results=[])
 
-    def emit(table, out, config_text, seed):
-        reached.append(("seed", seed))
+    def emit(table, out, config_text):
+        pass
 
     return {
         "cmd_localbw_sweep": localbw,
