@@ -49,9 +49,13 @@ def orientation_angles(v: Sequence[float]) -> OrientationAngles:
     sin(psi) = 0 the azimuth is undefined and atan2 of the zero (y, z)
     pair gives phi = 0.
     """
-    vx, vy, vz = unit(v)
-    psi = math.atan2(math.hypot(vy, vz), vx)  # acos(vx) would lose the digits of a small sin(psi)
-    return OrientationAngles(psi=psi, phi=reduce_phi_prime(math.atan2(vz, vy), 0.0))
+    psi, phi = _direction_angles(unit(v))
+    return OrientationAngles(psi=psi, phi=reduce_phi_prime(phi, 0.0))
+
+
+def _direction_angles(v: Vec3) -> tuple[float, float]:
+    """(psi, phi) of a unit direction, phi unreduced; acos(v_x) would lose a small sin(psi)."""
+    return math.atan2(math.hypot(v[1], v[2]), v[0]), math.atan2(v[2], v[1])
 
 
 def reduce_phi_prime(phi: float, beta: float) -> float:
@@ -129,10 +133,9 @@ def local_bandwidth_closed(p: Sequence[float], v: Sequence[float], Ls: float) ->
     The placement is first reduced to the canonical frame; a collinear
     placement (zero fan) or a direction along the segment gives 0.
     """
-    placement, v_c, _ = canonicalize(p, v, Ls=Ls)
+    placement, v_c, _ = canonicalize(p, v)
     ang = geometry_angles(placement, Ls)
-    psi = math.atan2(math.hypot(v_c[1], v_c[2]), v_c[0])  # not acos(v_x): see orientation_angles
-    phi = math.atan2(v_c[2], v_c[1])
+    psi, phi = _direction_angles(v_c)
     return omega_from_angles(psi, reduce_phi_prime(phi, ang.beta), ang.alpha)
 
 

@@ -75,14 +75,22 @@ def antenna_grid(segment: ArraySegment, spacing: float) -> AntennaGrid:
     return AntennaGrid(positions=positions, spacing=spacing, count=count)
 
 
+def check_channel_size(n_rx: int, n_tx: int) -> None:
+    """Refuse an n_rx x n_tx channel of more than MAX_CHANNEL_ENTRIES entries."""
+    if n_rx * n_tx > MAX_CHANNEL_ENTRIES:
+        raise ValueError(f"{n_rx} x {n_tx} antennas exceed {MAX_CHANNEL_ENTRIES} entries")
+
+
 def los_channel(tx: AntennaGrid, rx: AntennaGrid, lambda_m: float) -> ChannelMatrix:
     """Spherical-wave LoS channel between two antenna grids.
 
     The phase 2*pi*r is computed from the fractional part of r (in
     wavelengths) so that no precision is lost at large link distances.
+    The size is checked before any array is allocated.
     """
     if lambda_m <= 0.0:
         raise ValueError(f"lambda_m must be positive, got {lambda_m}")
+    check_channel_size(len(rx.positions), len(tx.positions))
     diff = rx.positions[:, None, :] - tx.positions[None, :, :]
     r = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
     if not r.all():

@@ -35,9 +35,9 @@ from .errors import DegenerateGeometry, DegeneratePoint, RangeError
 from .geometry import ArraySegment, K0, PolarPlacement, SEGMENT_TOL, geometry_angles
 from .knumber import k_number_center, k_number_max, maximize_k
 from .scenario import (
-    DEFAULT_SWEEP_COUNT,
+    DEFAULT_KMAX_SWEEP,
+    DEFAULT_KMAX_THETAS,
     Scenario,
-    SweepSpec,
     SweepTable,
     _integer,
     _positive,
@@ -50,8 +50,6 @@ from .validation import run_validation
 DEFAULT_ORIENTATION_POINTS = 181
 DEFAULT_MAP_EXTENT = 300.0
 DEFAULT_MAP_POINTS = 601
-DEFAULT_KMAX_SWEEP = SweepSpec("R", 300.0, 1000.0, DEFAULT_SWEEP_COUNT)
-DEFAULT_KMAX_THETAS = (0.0, math.pi / 6.0, math.pi / 3.0)
 MAX_AXIS_POINTS = 2001  # a 2001 x 2001 maxbw-map is 4 million rows, a 213 MB CSV
 MAX_CASES = 10_000
 

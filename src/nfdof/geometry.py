@@ -105,14 +105,6 @@ class CanonicalTransform:
     apply_direction = apply_point
 
 
-def _distance_to_axis_segment(y: float, z: float, half_length: float) -> float:
-    # Distance from (0, y, z) to {(0, 0, t) : |t| <= half_length}.
-    dz = abs(z) - half_length
-    if dz <= 0.0:
-        return abs(y)
-    return math.hypot(y, dz)
-
-
 def canonicalize(
     p: Sequence[float], v: Sequence[float], Ls: float = 0.0
 ) -> tuple[PolarPlacement, Vec3, CanonicalTransform]:
@@ -122,8 +114,8 @@ def canonicalize(
     ----------
     p : observation point (wavelengths).
     v : receive-array direction (normalized on input).
-    Ls : transmit-segment length; when positive, placements within
-        ``SEGMENT_TOL`` of the segment raise DegeneratePoint.
+    Ls : transmit-segment length; when positive, the placement goes through
+        the segment test of ``geometry_angles``; without it none is made.
 
     Returns
     -------
@@ -153,25 +145,25 @@ def canonicalize(
     if mirror:
         vz = -vz
 
-    if _distance_to_axis_segment(y_c, z_c, 0.5 * Ls) <= SEGMENT_TOL:
-        raise DegeneratePoint("observation point intersects the transmit segment")
-
     placement = PolarPlacement(R=R, theta=math.atan2(z_c, y_c))
+    if Ls > 0.0:
+        geometry_angles(placement, Ls)
     return placement, (vx, vy, vz), CanonicalTransform(rot, mirror)
 
 
 def geometry_angles(placement: PolarPlacement, Ls: float) -> GeometryAngles:
     """Compute (alpha, beta) for a canonical placement and transmit length.
 
-    On the z-axis beyond the segment tip all arrival directions are
-    parallel: alpha = 0 and beta = pi/2 (bandwidth is zero by convention).
+    The package's one segment test: a placement within ``SEGMENT_TOL`` of
+    the segment raises DegeneratePoint.  On the z-axis beyond the segment tip
+    all arrival directions are parallel: alpha = 0 and beta = pi/2.
     """
     if Ls <= 0.0:
         raise ValueError(f"Ls must be positive, got {Ls}")
     h = 0.5 * Ls
-    y = placement.R * math.cos(placement.theta)
+    y = placement.R * math.cos(placement.theta)  # y, z >= 0: theta lies in [0, pi/2]
     z = placement.R * math.sin(placement.theta)
-    if _distance_to_axis_segment(y, z, h) <= SEGMENT_TOL:
+    if (y if z <= h else math.hypot(y, z - h)) <= SEGMENT_TOL:  # distance to the segment
         raise DegeneratePoint("placement intersects the transmit segment")
 
     gamma_a = math.atan2(z - h, y)  # arrival angle from endpoint (0, 0, +h)

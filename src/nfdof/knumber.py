@@ -16,11 +16,12 @@ import numpy as np
 
 from .bandwidth import OrientationAngles, local_bandwidth_closed, max_bandwidth, reduce_phi_prime
 from .errors import DegenerateGeometry
-from .geometry import ArraySegment, PolarPlacement, geometry_angles
+from .geometry import ArraySegment, GeometryAngles, PolarPlacement, geometry_angles
 from .numerics import QuadratureRule, integrate
 
 DEFAULT_QUAD_POINTS = 129
 DEFAULT_SEARCH_GRID = (64, 64)
+MIN_SEARCH_AXIS = 8
 _REFINE_POINTS = 21  # spans one coarse cell on each side of the best point
 
 
@@ -66,12 +67,17 @@ def k_number_center(receiver: ArraySegment, Ls: float) -> KNumber:
     return KNumber(value=receiver.length * omega / (2.0 * math.pi), method=KMethod.CENTER_APPROX)
 
 
+def _open_fan(placement: PolarPlacement, Ls: float) -> GeometryAngles:
+    """geometry_angles of a placement whose fan is open: a zero fan has K = 0 at every orientation."""
+    ang = geometry_angles(placement, Ls)
+    if ang.alpha <= 0.0:
+        raise DegenerateGeometry("subtended angle is zero; K number is zero at every orientation")
+    return ang
+
+
 def k_number_max(placement: PolarPlacement, Lp: float, Ls: float) -> KNumber:
     """Center approximation at the optimal orientation: (Lp / 2pi) max_bandwidth(alpha)."""
-    alpha = geometry_angles(placement, Ls).alpha
-    if alpha <= 0.0:
-        raise DegenerateGeometry("subtended angle is zero; K number is zero at every orientation")
-    value = Lp * max_bandwidth(alpha) / (2.0 * math.pi)
+    value = Lp * max_bandwidth(_open_fan(placement, Ls).alpha) / (2.0 * math.pi)
     return KNumber(value=value, method=KMethod.CENTER_APPROX_MAX)
 
 
@@ -90,11 +96,9 @@ def maximize_k(
     up to the bisector tilt beta; ties break to the lowest grid index.
     """
     n_psi, n_phi = grid
-    if n_psi < 8 or n_phi < 8:
-        raise ValueError(f"search grid must be at least 8x8, got {grid}")
-    ang = geometry_angles(placement, Ls)
-    if ang.alpha <= 0.0:
-        raise DegenerateGeometry("subtended angle is zero; K number is zero at every orientation")
+    if min(grid) < MIN_SEARCH_AXIS:
+        raise ValueError(f"search grid must be at least {MIN_SEARCH_AXIS}x{MIN_SEARCH_AXIS}, got {grid}")
+    ang = _open_fan(placement, Ls)
     p0 = placement.point()
     beta = ang.beta
 

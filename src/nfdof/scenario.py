@@ -30,18 +30,18 @@ import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import IO, Iterable, Mapping
+from typing import IO, Callable, Mapping
 
 import numpy as np
 
 from .bandwidth import OrientationAngles, orientation_angles
-from .channel import MAX_CHANNEL_ENTRIES, grid_steps
+from .channel import check_channel_size, grid_steps
 from .errors import DegeneratePoint, RangeError, SchemaError
 from .geometry import PolarPlacement, Vec3, geometry_angles, optimal_orientation
-from .knumber import DEFAULT_QUAD_POINTS, DEFAULT_SEARCH_GRID
+from .knumber import DEFAULT_QUAD_POINTS, DEFAULT_SEARCH_GRID, MIN_SEARCH_AXIS
+from .numerics import MIN_NODES, QuadratureRule
 
 DEFAULT_SPACING = 0.5
-DEFAULT_SWEEP_COUNT = 15
 MAX_GRID = 1024  # a 1024 x 1024 search is 256 times the default one
 MAX_QUAD_POINTS = 10_001
 MAX_SWEEP_COUNT = 10_000
@@ -58,6 +58,10 @@ class SweepSpec:
     def values(self) -> np.ndarray:
         """``count`` values from start to stop, both exact."""
         return np.linspace(self.start, self.stop, self.count)
+
+
+DEFAULT_KMAX_SWEEP = SweepSpec("R", 300.0, 1000.0, 15)  # also gives the default sweep.count
+DEFAULT_KMAX_THETAS = (0.0, math.pi / 6.0, math.pi / 3.0)
 
 
 @dataclass(frozen=True)
@@ -120,11 +124,11 @@ def _integer(value: object, path: str, lo: int, hi: float) -> int:
     return value
 
 
-def _antennas(length: float, spacing: float, path: str) -> int:
-    """Antennas on an array of ``length`` at ``spacing``; the spacing must divide the length."""
+def _checked(path: str, check: Callable, *args: object):
+    """``check(*args)``, with its ValueError raised again as a RangeError that names ``path``."""
     try:
-        return grid_steps(length, spacing) + 1
-    except ValueError as exc:  # NonIntegerGrid, or too many antennas
+        return check(*args)
+    except ValueError as exc:
         raise RangeError(f"{path}: {exc}") from None
 
 
@@ -132,7 +136,7 @@ def _spacing(doc: Mapping, key: str, length: float, path: str) -> float:
     if key not in doc:
         return DEFAULT_SPACING
     spacing = _positive(doc[key], path + key)
-    _antennas(length, spacing, path + key)
+    _checked(path + key, grid_steps, length, spacing)  # the spacing must divide the length
     return spacing
 
 
@@ -179,10 +183,9 @@ def parse_scenarios(text: str) -> list[Scenario]:
 def _channel_scenario(doc: Mapping, config_id: int = 0, path: str = "") -> Scenario:
     """A scenario whose channel fits MAX_CHANNEL_ENTRIES, checked before any antenna is placed."""
     sc = _scenario_from_dict(doc, config_id, path)
-    n_tx = _antennas(sc.Ls, sc.spacing_s, path + "spacing_s")
-    n_rx = _antennas(sc.Lp, sc.spacing_p, path + "spacing_p")
-    if n_rx * n_tx > MAX_CHANNEL_ENTRIES:
-        raise RangeError(f"{path}spacing_p: {n_rx} x {n_tx} antennas exceed {MAX_CHANNEL_ENTRIES} entries")
+    n_tx = _checked(path + "spacing_s", grid_steps, sc.Ls, sc.spacing_s) + 1
+    n_rx = _checked(path + "spacing_p", grid_steps, sc.Lp, sc.spacing_p) + 1
+    _checked(path + "spacing_p", check_channel_size, n_rx, n_tx)
     return sc
 
 
@@ -224,15 +227,14 @@ def _scenario_from_dict(doc: Mapping, config_id: int = 0, path: str = "") -> Sce
     spacing_s = _spacing(doc, "spacing_s", Ls, path)
     spacing_p = _spacing(doc, "spacing_p", Lp, path)
     quad_points = _integer(
-        doc.get("quad_points", DEFAULT_QUAD_POINTS), f"{path}quad_points", 3, MAX_QUAD_POINTS
+        doc.get("quad_points", DEFAULT_QUAD_POINTS), f"{path}quad_points", MIN_NODES, MAX_QUAD_POINTS
     )
-    if quad_points % 2 == 0:  # Simpson's rule
-        raise RangeError(f"{path}quad_points: {quad_points} must be odd")
+    _checked(f"{path}quad_points", QuadratureRule, "simpson", quad_points)
 
     gdoc = doc.get("grid", list(DEFAULT_SEARCH_GRID))
     if not isinstance(gdoc, list) or len(gdoc) != 2:
         raise SchemaError(f"{path}grid: expected [n_psi, n_phi] integers, got {gdoc!r}")
-    grid = tuple(_integer(n, f"{path}grid[{i}]", 8, MAX_GRID) for i, n in enumerate(gdoc))
+    grid = tuple(_integer(n, f"{path}grid[{i}]", MIN_SEARCH_AXIS, MAX_GRID) for i, n in enumerate(gdoc))
 
     sweep = None
     if "sweep" in doc:
@@ -246,7 +248,7 @@ def _scenario_from_dict(doc: Mapping, config_id: int = 0, path: str = "") -> Sce
         stop = _positive(_require(sdoc, "stop", path + "sweep."), path + "sweep.stop")
         if stop < start:
             raise RangeError(f"{path}sweep.stop: {stop} must be >= start {start}")
-        count = _integer(sdoc.get("count", DEFAULT_SWEEP_COUNT), path + "sweep.count", 1, MAX_SWEEP_COUNT)
+        count = _integer(sdoc.get("count", DEFAULT_KMAX_SWEEP.count), path + "sweep.count", 1, MAX_SWEEP_COUNT)
         sweep = SweepSpec(variable=str(variable), start=start, stop=stop, count=count)
 
     theta_list: tuple[float, ...] = ()
@@ -314,17 +316,3 @@ class SweepTable:
 def sha256_of(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
-
-def read_table(stream: Iterable[str]) -> tuple[list[str], list[list[float]]]:
-    """Read back a SweepTable CSV, skipping the comment header."""
-    columns: list[str] = []
-    rows: list[list[float]] = []
-    for line in stream:
-        line = line.rstrip("\n")
-        if not line or line.startswith("#"):
-            continue
-        if not columns:
-            columns = line.split(",")
-            continue
-        rows.append([float(tok) for tok in line.split(",")])
-    return columns, rows

@@ -31,6 +31,7 @@ from .geometry import (
 )
 
 ROUNDOFF_FLOOR = 1e-9 * K0
+LS = 100.0  # transmit-segment length of every check
 
 
 @dataclass(frozen=True)
@@ -81,14 +82,13 @@ def _random_config(rng: np.random.Generator):
 def check_closed_vs_oracle(seed: int, n_cases: int, corruption: float = 0.0) -> CheckResult:
     """Closed form against the definition-level discretization, each case within its own bound."""
     rng = np.random.default_rng(seed)
-    Ls = 100.0
     worst = 0.0
     tol = 0.0
     for _ in range(n_cases):
         p, v = _random_config(rng)
-        closed = local_bandwidth_closed(p, v, Ls) + corruption
-        oracle = local_bandwidth_oracle(p, v, Ls, DEFAULT_ORACLE_SAMPLES)
-        alpha = geometry_angles(canonicalize(p, v, Ls)[0], Ls).alpha
+        closed = local_bandwidth_closed(p, v, LS) + corruption
+        oracle = local_bandwidth_oracle(p, v, LS, DEFAULT_ORACLE_SAMPLES)
+        alpha = geometry_angles(canonicalize(p, v)[0], LS).alpha
         bound = 2.0 * K0 * alpha / DEFAULT_ORACLE_SAMPLES + ROUNDOFF_FLOOR
         deviation = abs(closed - oracle)
         if deviation * tol >= worst * bound:  # report the case nearest its bound
@@ -99,17 +99,16 @@ def check_closed_vs_oracle(seed: int, n_cases: int, corruption: float = 0.0) -> 
 def check_angles(seed: int, n_cases: int) -> CheckResult:
     """Subtended angle against the cross/dot construction, plus the bisector tilt."""
     rng = np.random.default_rng(seed)
-    Ls = 100.0
     worst = 0.0
     for _ in range(n_cases):
         placement = _random_placement(rng, 0.5 * math.pi * 0.999999)
-        ang = geometry_angles(placement, Ls)
+        ang = geometry_angles(placement, LS)
         P = placement.point()
-        ref = subtended_angle_oracle(P, (0.0, 0.0, 0.5 * Ls), (0.0, 0.0, -0.5 * Ls))
+        ref = subtended_angle_oracle(P, (0.0, 0.0, 0.5 * LS), (0.0, 0.0, -0.5 * LS))
         worst = max(worst, abs(ang.alpha - ref))
         if ang.alpha > 0.0:
-            ra = _arrival_direction(P, 0.5 * Ls)
-            rb = _arrival_direction(P, -0.5 * Ls)
+            ra = _arrival_direction(P, 0.5 * LS)
+            rb = _arrival_direction(P, -0.5 * LS)
             by, bz = ra[0] + rb[0], ra[1] + rb[1]
             worst = max(worst, abs(ang.beta - math.atan2(bz, by)))
     return _result("geometry angles vs oracles", n_cases, worst, 1e-12)
@@ -124,14 +123,13 @@ def _arrival_direction(P, z_src: float) -> tuple[float, float]:
 def check_orientation_maximum(seed: int, n_cases: int, grid_n: int = 501) -> CheckResult:
     """Grid maximum of the closed form against 2*K0*sin(alpha/2)."""
     rng = np.random.default_rng(seed)
-    Ls = 100.0
     worst = 0.0
     psis = np.linspace(0.0, math.pi, grid_n)
     phis = np.linspace(0.0, math.pi, grid_n)
     h = math.pi / (grid_n - 1)
     tol = K0 * h * h + ROUNDOFF_FLOOR  # quadratic dip of the max between grid nodes
     for _ in range(n_cases):
-        alpha = geometry_angles(_random_placement(rng, 0.5 * math.pi * 0.98), Ls).alpha
+        alpha = geometry_angles(_random_placement(rng, 0.5 * math.pi * 0.98), LS).alpha
         grid_max = float(omega_grid(psis, phis, alpha).max())
         worst = max(worst, abs(grid_max - max_bandwidth(alpha)))
     return _result("orientation maximum vs closed grid", n_cases, worst, tol)
@@ -164,7 +162,6 @@ def check_branch_continuity(seed: int, n_cases: int) -> CheckResult:
 def check_periodicity(seed: int, n_cases: int, grid_n: int = 41) -> CheckResult:
     """Bandwidth must be unchanged under phi -> phi + pi (opposite projection)."""
     rng = np.random.default_rng(seed)
-    Ls = 100.0
     worst = 0.0
     psis = np.linspace(0.0, math.pi, grid_n)
     phis = np.linspace(0.0, math.pi, grid_n)
@@ -177,7 +174,7 @@ def check_periodicity(seed: int, n_cases: int, grid_n: int = 41) -> CheckResult:
                 w = (math.cos(psi), -sp * math.cos(phi), -sp * math.sin(phi))
                 worst = max(
                     worst,
-                    abs(local_bandwidth_closed(p, v, Ls) - local_bandwidth_closed(p, w, Ls)),
+                    abs(local_bandwidth_closed(p, v, LS) - local_bandwidth_closed(p, w, LS)),
                 )
     return _result("periodicity under phi + pi", n_cases, worst, 1e-12)
 

@@ -102,6 +102,19 @@ class TestLosChannel:
         with pytest.raises(CoincidentAntennas):
             los_channel(tx, rx, 0.01)
 
+    def test_size_cap_checked_before_any_distance(self, monkeypatch):
+        import nfdof.channel as channel_mod
+
+        tx = antenna_grid(tx_segment(2.0), 0.5)
+        rx = antenna_grid(ArraySegment((0.0, 0.0, 0.0), (0.0, 1.0, 0.0), 1.0), 0.5)
+        monkeypatch.setattr(channel_mod, "MAX_CHANNEL_ENTRIES", 14)
+        # the grids share an antenna, so getting past the cap would raise CoincidentAntennas
+        with pytest.raises(ValueError, match=r"^3 x 5 antennas exceed 14 entries$"):
+            los_channel(tx, rx, 0.01)
+        monkeypatch.setattr(channel_mod, "MAX_CHANNEL_ENTRIES", 15)
+        with pytest.raises(CoincidentAntennas):
+            los_channel(tx, rx, 0.01)
+
 
 class TestSingularSpectrum:
     def test_diagonal(self):

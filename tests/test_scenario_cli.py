@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nfdof import parse_scenario, parse_scenarios, run_validation
+from nfdof import SingularSpectrum, parse_scenario, parse_scenarios, run_validation
 from nfdof.channel import MAX_CHANNEL_ENTRIES
 from nfdof.cli import (
     MAX_AXIS_POINTS,
@@ -31,7 +31,6 @@ from nfdof.scenario import (
     MAX_SWEEP_COUNT,
     SweepSpec,
     SweepTable,
-    read_table,
     sha256_of,
 )
 
@@ -47,6 +46,20 @@ def scenario_text(**overrides):
     doc = dict(MINIMAL)
     doc.update(overrides)
     return json.dumps(doc)
+
+
+def read_table(stream):
+    """Read back a SweepTable CSV, skipping the comment header."""
+    columns, rows = [], []
+    for line in stream:
+        line = line.rstrip("\n")
+        if not line or line.startswith("#"):
+            continue
+        if not columns:
+            columns = line.split(",")
+            continue
+        rows.append([float(tok) for tok in line.split(",")])
+    return columns, rows
 
 
 class TestParseScenario:
@@ -300,18 +313,76 @@ def mutations(template):
     return st.one_of(*options)
 
 
+def renumbered(template):
+    """``template`` with any of its numbers replaced by another number."""
+    if isinstance(template, dict):
+        return st.fixed_dictionaries({k: renumbered(v) for k, v in template.items()})
+    if isinstance(template, list):
+        return st.tuples(*map(renumbered, template)).map(list)
+    if isinstance(template, (int, float)):  # kept three times in four
+        other = st.integers(-1000, 1000) | st.floats(-1000.0, 1000.0)
+        return st.integers(0, 3).flatmap(lambda i: other if i == 0 else st.just(template))
+    return st.just(template)
+
+
+# the required fields kept and the optional ones well formed, so that more documents reach a job
+RUNNABLE = st.fixed_dictionaries(
+    {k: st.just(v) for k, v in MINIMAL.items()},
+    optional={k: renumbered(v) for k, v in FULL.items() if k not in MINIMAL},
+)
+DOCUMENTS = mutations(FULL) | RUNNABLE
+
+
+# every subcommand that reads a scenario document (validate reads none), at small grids
+CONFIG_COMMANDS = (
+    ["localbw-sweep", "--grid", "3"], ["maxbw-map", "--grid", "3"], ["kmax-sweep"], ["svd-spectrum"]
+)
+
+
+def _fast_searches_and_channels() -> dict:
+    """Stand-ins for the orientation search and the channel build and spectrum."""
+    found = SimpleNamespace(best_k=SimpleNamespace(value=1.0))
+    spectrum = SingularSpectrum(values=np.ones(1), normalized=np.ones(1))
+    return {
+        "maximize_k": lambda *a, **k: found,
+        "los_channel": lambda *a, **k: None,
+        "singular_spectrum": lambda H: spectrum,
+    }
+
+
+@pytest.fixture(scope="module")
+def run_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("documents")
+
+
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
-@given(doc=mutations(FULL) | st.lists(mutations(FULL), max_size=3).map(lambda items: {"scenarios": items}))
+@given(doc=DOCUMENTS | st.lists(DOCUMENTS, max_size=3).map(lambda items: {"scenarios": items}))
 @example(doc=dict(MINIMAL, placement=ON_SEGMENT[0]))
 @example(doc={"scenarios": [MINIMAL, dict(FULL, placement=ON_SEGMENT[1])]})
 @example(doc=dict(MINIMAL, Ls=10**400))
-def test_parsers_raise_only_config_errors(doc):
+@example(doc=FULL)
+def test_parsers_raise_only_config_errors(run_dir, doc):
+    import nfdof.cli as cli_mod
+
     text = json.dumps(doc)
     for parse in (parse_scenario, parse_scenarios):
         try:
             parse(text)
         except (SchemaError, RangeError):
             pass
+    config = run_dir / "scenario.json"
+    config.write_text(text)
+    # the whole CLI, too, exits 0 or 2: any other exception escapes and fails the test
+    with pytest.MonkeyPatch.context() as mp:
+        for name, stub in _fast_searches_and_channels().items():
+            mp.setattr(cli_mod, name, stub)
+        for command in CONFIG_COMMANDS:
+            argv = command + ["--config", str(config), "--out", str(run_dir / "out.csv")]
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse
+                rc = exc.code
+            assert rc in (0, 2), argv
 
 
 class TestSweepCommands:
@@ -555,7 +626,7 @@ class TestCliMain:
             ("validate", None, "--cases", str(MAX_CASES + 1)),
         ],
     )
-    def test_search_overrides_share_the_config_bounds(
+    def test_argparse_rejects_an_out_of_bound_option(
         self, tmp_path, capsys, monkeypatch, command, config, option, value
     ):
         import nfdof.cli as cli_mod
@@ -683,8 +754,6 @@ class TestOptionSurface:
 # what each kind of command-line number may be once it reaches a job
 IN_BOUNDS = {
     "axis": lambda n: type(n) is int and 2 <= n <= MAX_AXIS_POINTS,
-    "search": lambda n: type(n) is int and 8 <= n <= MAX_GRID,
-    "quad": lambda n: type(n) is int and n % 2 == 1 and 3 <= n <= MAX_QUAD_POINTS,
     "extent": lambda x: math.isfinite(x) and x > 0.0,
     "tau": lambda t: 0.0 < t < 1.0,
     "seed": lambda n: type(n) is int and n >= 0,
@@ -715,9 +784,6 @@ def config_path(tmp_path_factory):
 def _recording_jobs(reached: list) -> dict:
     """Stand-ins for the jobs and the CSV emit that record the numbers they receive."""
 
-    def search(sc):
-        reached.extend([("search", sc.grid[0]), ("search", sc.grid[1]), ("quad", sc.quad_points)])
-
     def localbw(scenario, n_points):
         reached.append(("axis", n_points))
 
@@ -725,8 +791,6 @@ def _recording_jobs(reached: list) -> dict:
         reached.extend([("axis", n_points), ("extent", extent)])
 
     def svd(scenarios, tau):
-        for sc in scenarios:
-            search(sc)
         reached.append(("tau", tau))
 
     def validation(seed, n_cases):
@@ -739,7 +803,6 @@ def _recording_jobs(reached: list) -> dict:
     return {
         "cmd_localbw_sweep": localbw,
         "cmd_maxbw_map": maxbw,
-        "cmd_kmax_sweep": search,
         "cmd_svd_spectrum": svd,
         "run_validation": validation,
         "_emit": emit,
