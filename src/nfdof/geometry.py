@@ -190,8 +190,14 @@ def subtended_angle_oracle(
     return math.atan2(math.sqrt(cx * cx + cy * cy + cz * cz), dot)
 
 
+def require_open_fan(angles: GeometryAngles) -> GeometryAngles:
+    """``angles`` if the fan is open; a zero fan (on the segment's axis) raises DegenerateGeometry."""
+    if angles.alpha <= 0.0:
+        raise DegenerateGeometry("the segment subtends a zero angle; every orientation has zero bandwidth")
+    return angles
+
+
 def optimal_orientation(angles: GeometryAngles) -> Vec3:
     """Bandwidth-maximizing receive direction: in plane, perpendicular to the fan bisector."""
-    if angles.alpha <= 0.0:
-        raise DegenerateGeometry("subtended angle is zero; every orientation gives zero bandwidth")
-    return (0.0, -math.sin(angles.beta), math.cos(angles.beta))
+    beta = require_open_fan(angles).beta
+    return (0.0, -math.sin(beta), math.cos(beta))

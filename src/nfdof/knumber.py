@@ -15,13 +15,13 @@ from enum import Enum
 import numpy as np
 
 from .bandwidth import OrientationAngles, local_bandwidth_closed, max_bandwidth, reduce_phi_prime
-from .errors import DegenerateGeometry
-from .geometry import ArraySegment, GeometryAngles, PolarPlacement, geometry_angles
+from .geometry import ArraySegment, PolarPlacement, geometry_angles, require_open_fan
 from .numerics import QuadratureRule, integrate
 
 DEFAULT_QUAD_POINTS = 129
 DEFAULT_SEARCH_GRID = (64, 64)
 MIN_SEARCH_AXIS = 8
+MAX_GRID = 1024  # per axis: a 1024 x 1024 search is 256 times the default one
 _REFINE_POINTS = 21  # spans one coarse cell on each side of the best point
 
 
@@ -67,17 +67,9 @@ def k_number_center(receiver: ArraySegment, Ls: float) -> KNumber:
     return KNumber(value=receiver.length * omega / (2.0 * math.pi), method=KMethod.CENTER_APPROX)
 
 
-def _open_fan(placement: PolarPlacement, Ls: float) -> GeometryAngles:
-    """geometry_angles of a placement whose fan is open: a zero fan has K = 0 at every orientation."""
-    ang = geometry_angles(placement, Ls)
-    if ang.alpha <= 0.0:
-        raise DegenerateGeometry("subtended angle is zero; K number is zero at every orientation")
-    return ang
-
-
 def k_number_max(placement: PolarPlacement, Lp: float, Ls: float) -> KNumber:
     """Center approximation at the optimal orientation: (Lp / 2pi) max_bandwidth(alpha)."""
-    value = Lp * max_bandwidth(_open_fan(placement, Ls).alpha) / (2.0 * math.pi)
+    value = Lp * max_bandwidth(require_open_fan(geometry_angles(placement, Ls)).alpha) / (2.0 * math.pi)
     return KNumber(value=value, method=KMethod.CENTER_APPROX_MAX)
 
 
@@ -96,11 +88,10 @@ def maximize_k(
     up to the bisector tilt beta; ties break to the lowest grid index.
     """
     n_psi, n_phi = grid
-    if min(grid) < MIN_SEARCH_AXIS:
-        raise ValueError(f"search grid must be at least {MIN_SEARCH_AXIS}x{MIN_SEARCH_AXIS}, got {grid}")
-    ang = _open_fan(placement, Ls)
+    if not MIN_SEARCH_AXIS <= min(grid) <= max(grid) <= MAX_GRID:
+        raise ValueError(f"each search grid axis must lie in [{MIN_SEARCH_AXIS}, {MAX_GRID}], got {grid}")
+    beta = require_open_fan(geometry_angles(placement, Ls)).beta
     p0 = placement.point()
-    beta = ang.beta
 
     def orientation(psi: float, phi_prime: float) -> OrientationAngles:
         return OrientationAngles(psi=psi, phi=reduce_phi_prime(phi_prime, -beta))  # phi' + beta mod pi

@@ -13,6 +13,7 @@ from .errors import InvalidRule, NumericalFailure
 HERMITIAN_TOL = 1e-12
 "Relative Frobenius tolerance for both the input symmetry check and convergence."
 MIN_NODES = 3  # fewest nodes of a composite rule
+MAX_QUAD_POINTS = 10_001  # most nodes: caps the sample list that integrate builds
 
 
 @dataclass(frozen=True)
@@ -25,8 +26,8 @@ class QuadratureRule:
     def __post_init__(self) -> None:
         if self.kind not in ("trapezoid", "simpson"):
             raise InvalidRule(f"unknown rule kind {self.kind!r}")
-        if self.nodes < MIN_NODES:
-            raise InvalidRule(f"need at least {MIN_NODES} nodes, got {self.nodes}")
+        if not MIN_NODES <= self.nodes <= MAX_QUAD_POINTS:
+            raise InvalidRule(f"need {MIN_NODES} to {MAX_QUAD_POINTS} nodes, got {self.nodes}")
         if self.kind == "simpson" and self.nodes % 2 == 0:
             raise InvalidRule(f"composite Simpson needs an odd node count, got {self.nodes}")
 

@@ -9,15 +9,17 @@ radians:
       "placement": {"R": 500, "theta": 0},
       "orientation": "optimal",            // or {"psi": ..., "phi": ...}
       "spacing_s": 0.5, "spacing_p": 0.5,  // default lambda/2
-      "quad_points": 129,                  // odd, up to MAX_QUAD_POINTS; default
-      "grid": [64, 64],                    // orientation-search grid, 8..MAX_GRID; default
-      "sweep": {"variable": "R", "start": 300, "stop": 1000, "count": 15},  // count <= MAX_SWEEP_COUNT
+      "quad_points": 129,                  // odd, numerics.MIN_NODES..MAX_QUAD_POINTS; default
+      "grid": [64, 64],                    // search grid, knumber.MIN_SEARCH_AXIS..MAX_GRID; default
+      "sweep": {"variable": "R", "start": 300, "stop": 1000, "count": 15},  // count 1..MAX_SWEEP_COUNT
       "theta_list": [0, 0.5236, 1.0472]
     }
 
 Only lambda_m, Ls, Lp and placement are required.  "optimal" resolves to
 the bandwidth-maximizing receive direction for the given placement, which
-must lie neither on the transmit segment nor on its axis.  A spacing given
+must lie neither on the transmit segment nor on its axis.  QuadratureRule,
+maximize_k and SweepSpec own these caps and refuse the same values when
+called directly; the parser only adds the field name.  A spacing given
 in the document must divide its array length; the default lambda/2 is
 checked only by parse_scenarios, the parser of svd-spectrum, which places
 antennas and also caps the channel at MAX_CHANNEL_ENTRIES.
@@ -36,15 +38,13 @@ import numpy as np
 
 from .bandwidth import OrientationAngles, orientation_angles
 from .channel import check_channel_size, grid_steps
-from .errors import DegeneratePoint, RangeError, SchemaError
-from .geometry import PolarPlacement, Vec3, geometry_angles, optimal_orientation
-from .knumber import DEFAULT_QUAD_POINTS, DEFAULT_SEARCH_GRID, MIN_SEARCH_AXIS
-from .numerics import MIN_NODES, QuadratureRule
+from .errors import DegenerateGeometry, DegeneratePoint, RangeError, SchemaError
+from .geometry import PolarPlacement, Vec3, geometry_angles, optimal_orientation, require_open_fan
+from .knumber import DEFAULT_QUAD_POINTS, DEFAULT_SEARCH_GRID, MAX_GRID, MIN_SEARCH_AXIS
+from .numerics import MAX_QUAD_POINTS, MIN_NODES, QuadratureRule
 
 DEFAULT_SPACING = 0.5
-MAX_GRID = 1024  # a 1024 x 1024 search is 256 times the default one
-MAX_QUAD_POINTS = 10_001
-MAX_SWEEP_COUNT = 10_000
+MAX_SWEEP_COUNT = 10_000  # values() allocates the whole sweep
 _EMIT_BLOCK_ROWS = 4096  # rows per write: a float list of the whole table outweighs the array
 
 
@@ -54,6 +54,10 @@ class SweepSpec:
     start: float
     stop: float
     count: int
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.count <= MAX_SWEEP_COUNT:
+            raise ValueError(f"sweep count must lie in [1, {MAX_SWEEP_COUNT}], got {self.count}")
 
     def values(self) -> np.ndarray:
         """``count`` values from start to stop, both exact."""
@@ -203,14 +207,11 @@ def _scenario_from_dict(doc: Mapping, config_id: int = 0, path: str = "") -> Sce
     )
     placement = PolarPlacement(R=R, theta=theta)
     try:
-        angles = geometry_angles(placement, Ls)
+        angles = require_open_fan(geometry_angles(placement, Ls))
     except DegeneratePoint as exc:
         raise RangeError(f"{path}placement: {exc} (R={R:g}, theta={theta:g}, Ls={Ls:g})") from None
-    if angles.alpha <= 0.0:
-        raise RangeError(
-            f"{path}placement.theta: the transmit segment subtends a zero angle at theta={theta:g},"
-            f" R={R:g} (the segment's axis is theta = pi/2)"
-        )
+    except DegenerateGeometry as exc:
+        raise RangeError(f"{path}placement.theta: {exc} (R={R:g}, theta={theta:g})") from None
 
     odoc = doc.get("orientation", "optimal")
     if odoc == "optimal":

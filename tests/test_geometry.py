@@ -223,7 +223,7 @@ class TestOptimalOrientation:
 
     def test_zero_fan_rejected(self):
         ang = geometry_angles(PolarPlacement(500.0, 0.5 * math.pi), LS)
-        with pytest.raises(DegenerateGeometry):
+        with pytest.raises(DegenerateGeometry, match="subtends a zero angle"):
             optimal_orientation(ang)
 
 

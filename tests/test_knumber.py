@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfdof import (
     ArraySegment,
@@ -20,6 +22,7 @@ from nfdof import (
     reduce_phi_prime,
 )
 from nfdof.errors import DegenerateGeometry, DegeneratePoint, InvalidRule
+from nfdof.knumber import MAX_GRID
 
 LS = 100.0
 LP = 100.0
@@ -32,6 +35,21 @@ def orientation_vector(psi, phi):
 
 def segment_at(placement, v, Lp=LP):
     return ArraySegment(placement.point(), v, Lp)
+
+
+def four_distance_k(receiver, Ls=LS):
+    """|(D_a(P+) - D_a(P-)) - (D_b(P+) - D_b(P-))| in wavelengths, after Miller 2000.
+
+    D_e is the distance to transmit endpoint e and P+- are the receive array's
+    ends.  This is |integral of (f_a - f_b)| along the array, f_e the spatial
+    frequency of endpoint e.  The local bandwidth is at least |f_a - f_b|, so
+    the value never exceeds the quadrature K; it equals K where the endpoints
+    bound every spatial frequency and f_a - f_b keeps its sign.
+    """
+    a, b = (0.0, 0.0, 0.5 * Ls), (0.0, 0.0, -0.5 * Ls)
+    c, v, half = np.array(receiver.center), np.array(receiver.direction), 0.5 * receiver.length
+    p_plus, p_minus = c + half * v, c - half * v
+    return abs((math.dist(a, p_plus) - math.dist(a, p_minus)) - (math.dist(b, p_plus) - math.dist(b, p_minus)))
 
 
 class TestNumeric:
@@ -140,7 +158,7 @@ class TestMax:
         assert k.value == pytest.approx(0.0, abs=1e-3)
 
     def test_zero_fan_rejected(self):
-        with pytest.raises(DegenerateGeometry):
+        with pytest.raises(DegenerateGeometry, match="subtends a zero angle"):
             k_number_max(PolarPlacement(500.0, 0.5 * math.pi), LP, LS)
 
     def test_monotone_in_distance_and_tilt(self):
@@ -233,10 +251,37 @@ class TestMaximize:
         assert res.best_orientation.psi == psis[2]
         assert abs(math.remainder(reduce_phi_prime(res.best_orientation.phi, beta) - phis[3], math.pi)) < 1e-12
 
-    def test_small_grid_rejected(self):
-        with pytest.raises(ValueError):
-            maximize_k(PolarPlacement(500.0, 0.0), LP, LS, grid=(4, 64))
+    @pytest.mark.parametrize("grid", [(4, 64), (MAX_GRID + 1, 8), (8, 10**6)])
+    def test_grid_axis_outside_bounds_rejected(self, grid, monkeypatch):
+        def no_evaluation(*args):
+            raise AssertionError("K evaluated before the grid was checked")
+
+        monkeypatch.setattr("nfdof.knumber.k_number_numeric", no_evaluation)
+        with pytest.raises(ValueError, match="search grid axis"):
+            maximize_k(PolarPlacement(500.0, 0.0), LP, LS, grid=grid)
 
     def test_zero_fan_rejected(self):
-        with pytest.raises(DegenerateGeometry):
+        with pytest.raises(DegenerateGeometry, match="subtends a zero angle"):
             maximize_k(PolarPlacement(500.0, 0.5 * math.pi), LP, LS)
+
+
+class TestFourDistanceOracle:
+    @pytest.mark.parametrize("nodes, rel", [(129, 1e-9), (1025, 1e-12)])
+    @pytest.mark.parametrize("R", [100.0, 200.0, 500.0, 1000.0])
+    @pytest.mark.parametrize("theta", [0.0, math.pi / 6, math.pi / 3])
+    def test_equals_quadrature_at_optimal_orientation(self, theta, R, nodes, rel):
+        placement = PolarPlacement(R, theta)
+        seg = segment_at(placement, optimal_orientation(geometry_angles(placement, LS)))
+        assert four_distance_k(seg) == pytest.approx(k_number_numeric(seg, LS, nodes).value, rel=rel)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        R=st.floats(150.0, 2000.0),  # the array stays clear of the segment
+        theta=st.floats(0.0, 0.5 * math.pi),
+        psi=st.floats(0.0, math.pi),
+        phi=st.floats(0.0, 2.0 * math.pi),
+    )
+    def test_never_above_quadrature(self, R, theta, psi, phi):
+        seg = segment_at(PolarPlacement(R, theta), orientation_vector(psi, phi))
+        k = k_number_numeric(seg, LS, 1025).value
+        assert four_distance_k(seg) <= k * (1.0 + 1e-9)

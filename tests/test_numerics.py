@@ -7,6 +7,7 @@ import pytest
 
 from nfdof import QuadratureRule, hermitian_eigenvalues, integrate
 from nfdof.errors import InvalidRule, NumericalFailure
+from nfdof.numerics import MAX_QUAD_POINTS
 
 
 def charpoly_coeffs(M):
@@ -101,9 +102,12 @@ class TestIntegrate:
         with pytest.raises(InvalidRule):
             QuadratureRule("simpson", 10)
 
-    def test_too_few_nodes_rejected(self):
-        with pytest.raises(InvalidRule):
-            QuadratureRule("trapezoid", 2)
+    @pytest.mark.parametrize(
+        "kind, nodes", [("trapezoid", 2), ("trapezoid", MAX_QUAD_POINTS + 1), ("simpson", MAX_QUAD_POINTS + 2)]
+    )
+    def test_node_count_outside_bounds_rejected(self, kind, nodes):
+        with pytest.raises(InvalidRule, match="nodes"):
+            QuadratureRule(kind, nodes)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidRule):

@@ -24,15 +24,10 @@ from nfdof.cli import (
     main,
 )
 from nfdof.errors import RangeError, SchemaError
+from nfdof.knumber import MAX_GRID
+from nfdof.numerics import MAX_QUAD_POINTS
 from nfdof.validation import ValidationReport, check_closed_vs_oracle
-from nfdof.scenario import (
-    MAX_GRID,
-    MAX_QUAD_POINTS,
-    MAX_SWEEP_COUNT,
-    SweepSpec,
-    SweepTable,
-    sha256_of,
-)
+from nfdof.scenario import MAX_SWEEP_COUNT, SweepSpec, SweepTable, sha256_of
 
 MINIMAL = {"lambda_m": 0.01, "Ls": 100, "Lp": 100, "placement": {"R": 500, "theta": 0}}
 # with Ls = 100 both placements lie on the transmit segment z in [-50, 50]
@@ -133,6 +128,11 @@ class TestParseScenario:
         vals = SweepSpec("R", 0.1, 1.0, count).values()
         assert len(vals) == count
         assert vals[0] == 0.1 and vals[-1] == 1.0
+
+    @pytest.mark.parametrize("count", [0, MAX_SWEEP_COUNT + 1])
+    def test_sweep_spec_count_outside_bounds_rejected(self, count):
+        with pytest.raises(ValueError, match="sweep count"):
+            SweepSpec("R", 300.0, 1000.0, count)
 
     def test_theta_list_range_checked(self):
         with pytest.raises(RangeError, match=r"theta_list\[1\]"):
