@@ -45,13 +45,18 @@ from .scenario import (
     parse_scenarios,
     sha256_of,
 )
-from .validation import run_validation
+from .validation import MAX_CASES, run_validation
 
 DEFAULT_ORIENTATION_POINTS = 181
 DEFAULT_MAP_EXTENT = 300.0
 DEFAULT_MAP_POINTS = 601
 MAX_AXIS_POINTS = 2001  # a 2001 x 2001 maxbw-map is 4 million rows, a 213 MB CSV
-MAX_CASES = 10_000
+
+
+def _check_axis_points(n_points: int) -> None:
+    """Refuse a map axis outside [2, MAX_AXIS_POINTS] before its table is allocated."""
+    if not 2 <= n_points <= MAX_AXIS_POINTS:
+        raise ValueError(f"need 2 to {MAX_AXIS_POINTS} points per axis, got {n_points}")
 
 
 def _tensor_rows(a: Sequence[float], b: Sequence[float], *values: object) -> np.ndarray:
@@ -62,6 +67,7 @@ def _tensor_rows(a: Sequence[float], b: Sequence[float], *values: object) -> np.
 
 def cmd_localbw_sweep(scenario: Scenario, n_points: int = DEFAULT_ORIENTATION_POINTS) -> SweepTable:
     """Sweep (psi, phi') over [0, pi]^2 at the scenario placement."""
+    _check_axis_points(n_points)
     alpha = geometry_angles(scenario.placement, scenario.Ls).alpha
     psis = np.linspace(0.0, math.pi, n_points)
     phis = np.linspace(0.0, math.pi, n_points)
@@ -88,6 +94,7 @@ def cmd_maxbw_map(
     Points inside the degeneracy band around the transmit segment emit the
     limiting value 2.0 (the fan opens to a half turn on the segment).
     """
+    _check_axis_points(n_points)
     half = 0.5 * scenario.Ls
     ys = np.linspace(-extent, extent, n_points)
     zs = np.linspace(-extent, extent, n_points)

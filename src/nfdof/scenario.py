@@ -18,8 +18,9 @@ radians:
 Only lambda_m, Ls, Lp and placement are required.  "optimal" resolves to
 the bandwidth-maximizing receive direction for the given placement, which
 must lie neither on the transmit segment nor on its axis.  QuadratureRule,
-maximize_k and SweepSpec own these caps and refuse the same values when
-called directly; the parser only adds the field name.  A spacing given
+maximize_k and SweepSpec own these caps, and PolarPlacement and
+OrientationAngles the angle ranges; each refuses the same values when
+called directly, and the parser only adds the field name.  A spacing given
 in the document must divide its array length; the default lambda/2 is
 checked only by parse_scenarios, the parser of svd-spectrum, which places
 antennas and also caps the channel at MAX_CHANNEL_ENTRIES.
@@ -45,7 +46,7 @@ from .numerics import MAX_QUAD_POINTS, MIN_NODES, QuadratureRule
 
 DEFAULT_SPACING = 0.5
 MAX_SWEEP_COUNT = 10_000  # values() allocates the whole sweep
-_EMIT_BLOCK_ROWS = 4096  # rows per write: a float list of the whole table outweighs the array
+_EMIT_BLOCK_ROWS = 4096  # rows per write, each distinct value of a column formatted once per block
 
 
 @dataclass(frozen=True)
@@ -120,7 +121,7 @@ def _in_range(value: object, path: str, lo: float, hi: float) -> float:
     return x
 
 
-def _integer(value: object, path: str, lo: int, hi: float) -> int:
+def _integer(value: object, path: str, lo: float = -math.inf, hi: float = math.inf) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"{path}: expected an integer, got {value!r}")
     if not lo <= value <= hi:
@@ -202,10 +203,8 @@ def _scenario_from_dict(doc: Mapping, config_id: int = 0, path: str = "") -> Sce
     if not isinstance(pdoc, dict):
         raise SchemaError(f"{path}placement: expected an object")
     R = _positive(_require(pdoc, "R", path + "placement."), path + "placement.R")
-    theta = _in_range(
-        _require(pdoc, "theta", path + "placement."), path + "placement.theta", 0.0, 0.5 * math.pi
-    )
-    placement = PolarPlacement(R=R, theta=theta)
+    theta = _number(_require(pdoc, "theta", path + "placement."), path + "placement.theta")
+    placement = _checked(path + "placement.theta", PolarPlacement, R, theta)  # R > 0 already
     try:
         angles = require_open_fan(geometry_angles(placement, Ls))
     except DegeneratePoint as exc:
@@ -218,9 +217,9 @@ def _scenario_from_dict(doc: Mapping, config_id: int = 0, path: str = "") -> Sce
         orientation = orientation_angles(optimal_orientation(angles))
         mode = "optimal"
     elif isinstance(odoc, dict):
-        psi = _in_range(_require(odoc, "psi", path + "orientation."), path + "orientation.psi", 0.0, math.pi)
-        phi = _in_range(_require(odoc, "phi", path + "orientation."), path + "orientation.phi", 0.0, math.pi)
-        orientation = OrientationAngles(psi=psi, phi=phi)
+        psi = _number(_require(odoc, "psi", path + "orientation."), path + "orientation.psi")
+        phi = _number(_require(odoc, "phi", path + "orientation."), path + "orientation.phi")
+        orientation = _checked(path + "orientation", OrientationAngles, psi, phi)
         mode = "explicit"
     else:
         raise SchemaError(f'{path}orientation: expected "optimal" or an object, got {odoc!r}')
@@ -249,8 +248,8 @@ def _scenario_from_dict(doc: Mapping, config_id: int = 0, path: str = "") -> Sce
         stop = _positive(_require(sdoc, "stop", path + "sweep."), path + "sweep.stop")
         if stop < start:
             raise RangeError(f"{path}sweep.stop: {stop} must be >= start {start}")
-        count = _integer(sdoc.get("count", DEFAULT_KMAX_SWEEP.count), path + "sweep.count", 1, MAX_SWEEP_COUNT)
-        sweep = SweepSpec(variable=str(variable), start=start, stop=stop, count=count)
+        count = _integer(sdoc.get("count", DEFAULT_KMAX_SWEEP.count), path + "sweep.count")
+        sweep = _checked(path + "sweep.count", SweepSpec, str(variable), start, stop, count)
 
     theta_list: tuple[float, ...] = ()
     if "theta_list" in doc:
@@ -283,9 +282,12 @@ class SweepTable:
     """One (n_rows, len(columns)) float64 array with a provenance comment header.
 
     A list of row tuples is converted on construction.  The CSV body is RFC
-    4180 (comma separated, LF endings, "." decimal); values carry 17 significant
-    digits so rereads round-trip exactly.  Output is byte-identical across runs
-    except the "generated" line.
+    4180 (comma separated, LF endings, "." decimal); each value is written as
+    "%.17g", so rereads round-trip exactly.  Each block of _EMIT_BLOCK_ROWS
+    rows is one write, which formats each distinct value of a column once;
+    the bytes equal those of formatting every value, and no whole-table
+    text is built.  Output is byte-identical across runs except the
+    "generated" line.
     """
 
     columns: list[str]
@@ -308,10 +310,14 @@ class SweepTable:
         for note in self.notes:
             stream.write(f"# {note}\n")
         stream.write(",".join(self.columns) + "\n")
-        line = ",".join(["%.17g"] * len(self.columns)) + "\n"
         for start in range(0, len(self.rows), _EMIT_BLOCK_ROWS):
-            block = self.rows[start : start + _EMIT_BLOCK_ROWS]
-            stream.write((line * len(block)) % tuple(block.ravel().tolist()))
+            fields = []
+            for column in self.rows[start : start + _EMIT_BLOCK_ROWS].T:
+                # distinct bit patterns, so -0.0 keeps its sign
+                distinct, inverse = np.unique(column.view(np.int64), return_inverse=True)
+                text = np.array(["%.17g" % v for v in distinct.view(np.float64).tolist()], dtype=object)
+                fields.append(text[inverse])
+            stream.write("".join([",".join(row) + "\n" for row in zip(*fields)]))
 
 
 def sha256_of(text: str) -> str:

@@ -32,6 +32,7 @@ from .geometry import (
 
 ROUNDOFF_FLOOR = 1e-9 * K0
 LS = 100.0  # transmit-segment length of every check
+MAX_CASES = 10_000  # the angle and continuity checks run 50 times as many
 
 
 @dataclass(frozen=True)
@@ -180,7 +181,9 @@ def check_periodicity(seed: int, n_cases: int, grid_n: int = 41) -> CheckResult:
 
 
 def run_validation(seed: int, n_cases: int, corruption: float = 0.0) -> ValidationReport:
-    """Run every check; ``n_cases`` scales the sampling effort of each."""
+    """Run every check; ``n_cases`` (0 to MAX_CASES) scales the sampling effort of each."""
+    if not 0 <= n_cases <= MAX_CASES:
+        raise ValueError(f"need 0 to {MAX_CASES} cases, got {n_cases}")
     results = [
         check_closed_vs_oracle(seed, n_cases, corruption=corruption),
         check_angles(seed + 1, 50 * n_cases),

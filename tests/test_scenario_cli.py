@@ -4,6 +4,7 @@ import argparse
 import io
 import json
 import math
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +16,6 @@ from nfdof import SingularSpectrum, parse_scenario, parse_scenarios, run_validat
 from nfdof.channel import MAX_CHANNEL_ENTRIES
 from nfdof.cli import (
     MAX_AXIS_POINTS,
-    MAX_CASES,
     _build_parser,
     cmd_kmax_sweep,
     cmd_localbw_sweep,
@@ -26,8 +26,9 @@ from nfdof.cli import (
 from nfdof.errors import RangeError, SchemaError
 from nfdof.knumber import MAX_GRID
 from nfdof.numerics import MAX_QUAD_POINTS
-from nfdof.validation import ValidationReport, check_closed_vs_oracle
+from nfdof.validation import MAX_CASES, ValidationReport, check_closed_vs_oracle
 from nfdof.scenario import MAX_SWEEP_COUNT, SweepSpec, SweepTable, sha256_of
+import nfdof.scenario as scenario_mod
 
 MINIMAL = {"lambda_m": 0.01, "Ls": 100, "Lp": 100, "placement": {"R": 500, "theta": 0}}
 # with Ls = 100 both placements lie on the transmit segment z in [-50, 50]
@@ -218,8 +219,29 @@ class TestFieldChecks:
         ],
     )
     def test_integer_field_out_of_range_is_a_range_error(self, overrides, field):
-        with pytest.raises(RangeError, match=rf"^{field}: -?\d+ outside \["):
+        # SweepSpec owns the count's range; the parser checks the others' caps itself
+        want = rf"sweep count must lie in \[1, {MAX_SWEEP_COUNT}\]" if "sweep" in field else r"-?\d+ outside \["
+        with pytest.raises(RangeError, match=rf"^{field}: {want}"):
             parse_scenario(scenario_text(**overrides))
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"placement": {"R": 500, "theta": -0.1}}, "placement.theta: theta must lie in [0, pi/2], got -0.1"),
+            ({"placement": {"R": 500, "theta": 1.6}}, "placement.theta: theta must lie in [0, pi/2], got 1.6"),
+            ({"orientation": {"psi": 3.2, "phi": 1.0}}, "orientation: psi must lie in [0, pi], got 3.2"),
+            ({"orientation": {"psi": 1.0, "phi": -0.5}}, "orientation: phi must lie in [0, pi], got -0.5"),
+        ],
+    )
+    def test_angle_out_of_range_names_field(self, overrides, message, tmp_path, capsys):
+        # the type checks the range once; the parser adds the field path and main exits 2
+        with pytest.raises(RangeError) as exc:
+            parse_scenario(scenario_text(**overrides))
+        assert str(exc.value) == message
+        cfg = tmp_path / "s.json"
+        cfg.write_text(scenario_text(**overrides))
+        assert main(["localbw-sweep", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"nfdof: error: {message}\n"
 
     def test_caps_themselves_parse(self):
         sc = parse_scenario(
@@ -491,6 +513,20 @@ class TestSweepCommands:
         assert table.rows.shape == (n_rows, len(table.columns))
 
 
+NAN_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
+# both zeros, the smallest subnormals, infinities and NaNs of either sign or another payload
+EMIT_VALUES = [0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan, -math.nan, NAN_PAYLOAD, 0.1, 1e16]
+
+
+@st.composite
+def emit_tables(draw):
+    """(n_cols, rows) drawn from a pool of at most 4 values, so that every block repeats some."""
+    n_cols = draw(st.integers(1, 4))
+    pool = draw(st.lists(st.sampled_from(EMIT_VALUES) | st.floats(), min_size=1, max_size=4))
+    row = st.lists(st.sampled_from(pool), min_size=n_cols, max_size=n_cols)
+    return n_cols, draw(st.lists(row, max_size=10))
+
+
 class TestCsvContract:
     def test_deterministic_except_timestamp(self):
         sc = parse_scenario(scenario_text(placement={"R": 100, "theta": 0.2}))
@@ -541,6 +577,63 @@ class TestCsvContract:
         want = "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in rows)
         assert texts[0].endswith("a,b,c,d,e,f\n" + want)
         assert texts[1] == texts[0]
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(table=emit_tables())
+    # 0 rows, 1 row, a multiple of the block of 3 rows and one more; both zeros and NaNs in one block
+    @example(table=(2, []))
+    @example(table=(1, [[-0.0]]))
+    @example(table=(2, [[0.0, math.nan], [-0.0, -math.nan], [0.0, NAN_PAYLOAD], [5e-324, math.inf],
+                        [-5e-324, -math.inf], [-0.0, 0.1]]))
+    @example(table=(3, [[0.1, -0.0, 1e16]] * 7))
+    def test_body_is_format_17g_of_every_value(self, table):
+        n_cols, rows = table
+        buf = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scenario_mod, "_EMIT_BLOCK_ROWS", 3)
+            SweepTable([f"c{j}" for j in range(n_cols)], rows, "test").write_csv(buf, version="0", timestamp="T")
+        body = buf.getvalue().split("\n", 6)[6]  # after 5 comment lines and the column names
+        assert body == "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows)
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 3, 7, 9])
+    def test_body_written_one_block_at_a_time(self, monkeypatch, n_rows):
+        # peak memory holds one block's text, never the whole table's
+        monkeypatch.setattr(scenario_mod, "_EMIT_BLOCK_ROWS", 3)
+        writes = []
+        SweepTable(["a", "b"], np.arange(2.0 * n_rows), "test").write_csv(
+            SimpleNamespace(write=writes.append), version="0", timestamp="T"
+        )
+        body = writes[writes.index("a,b\n") + 1 :]
+        assert len(body) == -(-n_rows // 3)
+        assert all(1 <= w.count("\n") <= 3 for w in body)
+        assert sum(w.count("\n") for w in body) == n_rows
+
+
+class TestLibraryCaps:
+    """Each size cap is enforced by the function it protects, before any work is done."""
+
+    @pytest.mark.parametrize("n_points", [1, MAX_AXIS_POINTS + 1, 10**6])
+    @pytest.mark.parametrize("command", ["cmd_localbw_sweep", "cmd_maxbw_map"])
+    def test_axis_points_outside_bounds_rejected(self, monkeypatch, command, n_points):
+        import nfdof.cli as cli_mod
+
+        sc = parse_scenario(scenario_text())
+        fail = lambda *a, **k: pytest.fail("work was done")  # noqa: E731
+        for name in ("geometry_angles", "omega_grid", "_tensor_rows", "SweepTable"):
+            monkeypatch.setattr(cli_mod, name, fail)
+        monkeypatch.setattr(cli_mod, "np", SimpleNamespace(linspace=fail))
+        with pytest.raises(ValueError, match=rf"^need 2 to {MAX_AXIS_POINTS} points per axis, got {n_points}$"):
+            getattr(cli_mod, command)(sc, n_points=n_points)
+
+    @pytest.mark.parametrize("n_cases", [-1, MAX_CASES + 1, 10**9])
+    def test_validation_cases_outside_bounds_rejected(self, monkeypatch, n_cases):
+        import nfdof.validation as validation_mod
+
+        for name in ("check_closed_vs_oracle", "check_angles", "check_orientation_maximum",
+                     "check_branch_continuity", "check_periodicity"):
+            monkeypatch.setattr(validation_mod, name, lambda *a, **k: pytest.fail("a check ran"))
+        with pytest.raises(ValueError, match=rf"^need 0 to {MAX_CASES} cases, got {n_cases}$"):
+            run_validation(seed=0, n_cases=n_cases)
 
 
 class TestCliMain:
