@@ -31,16 +31,14 @@ from .channel import (
     singular_spectrum,
     threshold_tau,
 )
-from .errors import DegenerateGeometry, DegeneratePoint, RangeError
 from .geometry import ArraySegment, K0, PolarPlacement, SEGMENT_TOL, geometry_angles
 from .knumber import k_number_center, k_number_max, maximize_k
 from .scenario import (
-    DEFAULT_KMAX_SWEEP,
-    DEFAULT_KMAX_THETAS,
     Scenario,
     SweepTable,
     _integer,
     _positive,
+    kmax_pairs,
     parse_scenario,
     parse_scenarios,
     sha256_of,
@@ -119,29 +117,15 @@ def cmd_kmax_sweep(scenario: Scenario) -> SweepTable:
     """AK (closed form) and EK (orientation search) over an (R, theta) sweep.
 
     AK comes first for every pair, so a pair without a K number exits before
-    any search.  Its error names theta_list[i] at theta = pi/2 (the segment's
-    axis) or when there is no sweep, else sweep.start (a center on the
-    segment: small R) or sweep.stop (a zero angle: large R).
+    any search.
     """
-    rs = (scenario.sweep or DEFAULT_KMAX_SWEEP).values()
-    thetas = scenario.theta_list or DEFAULT_KMAX_THETAS
-    placements = [PolarPlacement(R=float(R), theta=float(theta)) for R in rs for theta in thetas]
-    ak = []
-    for j, placement in enumerate(placements):
-        try:
-            ak.append(k_number_max(placement, scenario.Lp, scenario.Ls).value)
-        except (DegeneratePoint, DegenerateGeometry) as exc:
-            field = "sweep.start" if isinstance(exc, DegeneratePoint) else "sweep.stop"
-            if placement.theta == 0.5 * math.pi or scenario.sweep is None:
-                field = f"theta_list[{j % len(thetas)}]"
-            raise RangeError(f"{field}: {exc} (R={placement.R:g}, theta={placement.theta:g})") from None
-    ek = []
-    for p in placements:
-        search = maximize_k(p, scenario.Lp, scenario.Ls, grid=scenario.grid, quad_points=scenario.quad_points)
-        ek.append(search.best_k.value)
+    placements = [PolarPlacement(R, theta) for R, theta in kmax_pairs(scenario.sweep, scenario.theta_list)]
+    ak = [k_number_max(p, scenario.Lp, scenario.Ls).value for p in placements]
+    search = dict(grid=scenario.grid, quad_points=scenario.quad_points)
+    ek = [maximize_k(p, scenario.Lp, scenario.Ls, **search).best_k.value for p in placements]
     return SweepTable(
         columns=["R", "theta", "AK", "EK"],
-        rows=_tensor_rows(rs, thetas, ak, ek),
+        rows=_tensor_rows(scenario.sweep.values(), scenario.theta_list, ak, ek),
         command="kmax-sweep",
         notes=[
             f"Ls={scenario.Ls:.17g} Lp={scenario.Lp:.17g}",

@@ -151,20 +151,23 @@ def canonicalize(
     return placement, (vx, vy, vz), CanonicalTransform(rot, mirror)
 
 
-def geometry_angles(placement: PolarPlacement, Ls: float) -> GeometryAngles:
+def geometry_angles(placement: PolarPlacement, Ls: float, reach: float = 0.0) -> GeometryAngles:
     """Compute (alpha, beta) for a canonical placement and transmit length.
 
-    The package's one segment test: a placement within ``SEGMENT_TOL`` of
-    the segment raises DegeneratePoint.  On the z-axis beyond the segment tip
-    all arrival directions are parallel: alpha = 0 and beta = pi/2.
+    The package's one segment test: a placement within ``reach`` (Lp/2 for a
+    receive array centered there) plus ``SEGMENT_TOL`` of the segment raises
+    DegeneratePoint.  On the z-axis beyond the segment tip all arrival
+    directions are parallel: alpha = 0 and beta = pi/2.
     """
     if Ls <= 0.0:
         raise ValueError(f"Ls must be positive, got {Ls}")
     h = 0.5 * Ls
     y = placement.R * math.cos(placement.theta)  # y, z >= 0: theta lies in [0, pi/2]
     z = placement.R * math.sin(placement.theta)
-    if (y if z <= h else math.hypot(y, z - h)) <= SEGMENT_TOL:  # distance to the segment
-        raise DegeneratePoint("placement intersects the transmit segment")
+    distance = y if z <= h else math.hypot(y, z - h)  # to the segment
+    if distance <= reach + SEGMENT_TOL:
+        reached = f"the receive array reaches the transmit segment: distance {distance:g} <= Lp/2 = {reach:g}"
+        raise DegeneratePoint(reached if reach > 0.0 else "placement intersects the transmit segment")
 
     gamma_a = math.atan2(z - h, y)  # arrival angle from endpoint (0, 0, +h)
     gamma_b = math.atan2(z + h, y)  # arrival angle from endpoint (0, 0, -h)

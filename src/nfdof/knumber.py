@@ -85,12 +85,13 @@ def maximize_k(
     Evaluates a coarse (psi, phi') grid over [0, pi] x [0, pi), then a 10x
     finer grid spanning one coarse cell around the best point.  phi' is
     measured from the fan bisector, so the landscape is placement-independent
-    up to the bisector tilt beta; ties break to the lowest grid index.
+    up to the bisector tilt beta; ties break to the lowest grid index.  A
+    placement within Lp/2 of the segment is refused before any K evaluation.
     """
     n_psi, n_phi = grid
     if not MIN_SEARCH_AXIS <= min(grid) <= max(grid) <= MAX_GRID:
         raise ValueError(f"each search grid axis must lie in [{MIN_SEARCH_AXIS}, {MAX_GRID}], got {grid}")
-    beta = require_open_fan(geometry_angles(placement, Ls)).beta
+    beta = require_open_fan(geometry_angles(placement, Ls, 0.5 * Lp)).beta
     p0 = placement.point()
 
     def orientation(psi: float, phi_prime: float) -> OrientationAngles:

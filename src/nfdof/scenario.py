@@ -24,6 +24,9 @@ called directly, and the parser only adds the field name.  A spacing given
 in the document must divide its array length; the default lambda/2 is
 checked only by parse_scenarios, the parser of svd-spectrum, which places
 antennas and also caps the channel at MAX_CHANNEL_ENTRIES.
+A written sweep or theta_list has its at most MAX_KMAX_PAIRS (R, theta) pairs
+checked for a K number and for the Lp/2 reach that maximize_k refuses, as is a
+placement of parse_scenarios; _open_fan alone names a geometry error's field.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import IO, Callable, Mapping
+from typing import IO, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -42,10 +45,11 @@ from .channel import check_channel_size, grid_steps
 from .errors import DegenerateGeometry, DegeneratePoint, RangeError, SchemaError
 from .geometry import PolarPlacement, Vec3, geometry_angles, optimal_orientation, require_open_fan
 from .knumber import DEFAULT_QUAD_POINTS, DEFAULT_SEARCH_GRID, MAX_GRID, MIN_SEARCH_AXIS
-from .numerics import MAX_QUAD_POINTS, MIN_NODES, QuadratureRule
+from .numerics import QuadratureRule
 
 DEFAULT_SPACING = 0.5
 MAX_SWEEP_COUNT = 10_000  # values() allocates the whole sweep
+MAX_KMAX_PAIRS = 3 * MAX_SWEEP_COUNT  # a full sweep at the three default tilts; one search per pair
 _EMIT_BLOCK_ROWS = 4096  # rows per write, each distinct value of a column formatted once per block
 
 
@@ -69,6 +73,13 @@ DEFAULT_KMAX_SWEEP = SweepSpec("R", 300.0, 1000.0, 15)  # also gives the default
 DEFAULT_KMAX_THETAS = (0.0, math.pi / 6.0, math.pi / 3.0)
 
 
+def kmax_pairs(sweep: SweepSpec, thetas: Sequence[float]) -> list[tuple[float, float]]:
+    """The (R, theta) pairs of kmax-sweep, R outer; over MAX_KMAX_PAIRS are refused before any is built."""
+    if sweep.count * len(thetas) > MAX_KMAX_PAIRS:
+        raise ValueError(f"{sweep.count} x {len(thetas)} (R, theta) pairs exceed {MAX_KMAX_PAIRS}")
+    return [(R, theta) for R in sweep.values().tolist() for theta in thetas]
+
+
 @dataclass(frozen=True)
 class Scenario:
     lambda_m: float
@@ -81,8 +92,8 @@ class Scenario:
     spacing_p: float = DEFAULT_SPACING
     quad_points: int = DEFAULT_QUAD_POINTS
     grid: tuple[int, int] = DEFAULT_SEARCH_GRID
-    sweep: SweepSpec | None = None
-    theta_list: tuple[float, ...] = ()
+    sweep: SweepSpec = DEFAULT_KMAX_SWEEP
+    theta_list: tuple[float, ...] = DEFAULT_KMAX_THETAS
     config_id: int = 0
 
     def orientation_vector(self) -> Vec3:
@@ -114,13 +125,6 @@ def _positive(value: object, path: str) -> float:
     return x
 
 
-def _in_range(value: object, path: str, lo: float, hi: float) -> float:
-    x = _number(value, path)
-    if not lo <= x <= hi:
-        raise RangeError(f"{path}: {x} outside [{lo:g}, {hi:g}]")
-    return x
-
-
 def _integer(value: object, path: str, lo: float = -math.inf, hi: float = math.inf) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"{path}: expected an integer, got {value!r}")
@@ -135,6 +139,15 @@ def _checked(path: str, check: Callable, *args: object):
         return check(*args)
     except ValueError as exc:
         raise RangeError(f"{path}: {exc}") from None
+
+
+def _open_fan(placement: PolarPlacement, Ls: float, near: str, far: str, reach: float = 0.0):
+    """The open fan at ``placement``; names ``near`` within ``reach`` of the segment, ``far`` on its axis."""
+    try:
+        return require_open_fan(geometry_angles(placement, Ls, reach))
+    except (DegeneratePoint, DegenerateGeometry) as exc:
+        name = near if isinstance(exc, DegeneratePoint) else far
+        raise RangeError(f"{name}: {exc} (R={placement.R:g}, theta={placement.theta:g}, Ls={Ls:g})") from None
 
 
 def _spacing(doc: Mapping, key: str, length: float, path: str) -> float:
@@ -169,7 +182,8 @@ def parse_scenarios(text: str) -> list[Scenario]:
     """Parse either a single scenario or {"scenarios": [...]} into a list of channels.
 
     Beyond parse_scenario, each spacing (the default lambda/2 too) must divide
-    its length, and each channel has at most MAX_CHANNEL_ENTRIES entries.
+    its length, each channel has at most MAX_CHANNEL_ENTRIES entries, and each
+    placement lies beyond the Lp/2 reach of its orientation search.
     """
     doc = _decode(text)
     if "scenarios" not in doc:
@@ -191,6 +205,7 @@ def _channel_scenario(doc: Mapping, config_id: int = 0, path: str = "") -> Scena
     n_tx = _checked(path + "spacing_s", grid_steps, sc.Ls, sc.spacing_s) + 1
     n_rx = _checked(path + "spacing_p", grid_steps, sc.Lp, sc.spacing_p) + 1
     _checked(path + "spacing_p", check_channel_size, n_rx, n_tx)
+    _open_fan(sc.placement, sc.Ls, path + "placement", path + "placement.theta", 0.5 * sc.Lp)
     return sc
 
 
@@ -205,12 +220,7 @@ def _scenario_from_dict(doc: Mapping, config_id: int = 0, path: str = "") -> Sce
     R = _positive(_require(pdoc, "R", path + "placement."), path + "placement.R")
     theta = _number(_require(pdoc, "theta", path + "placement."), path + "placement.theta")
     placement = _checked(path + "placement.theta", PolarPlacement, R, theta)  # R > 0 already
-    try:
-        angles = require_open_fan(geometry_angles(placement, Ls))
-    except DegeneratePoint as exc:
-        raise RangeError(f"{path}placement: {exc} (R={R:g}, theta={theta:g}, Ls={Ls:g})") from None
-    except DegenerateGeometry as exc:
-        raise RangeError(f"{path}placement.theta: {exc} (R={R:g}, theta={theta:g})") from None
+    angles = _open_fan(placement, Ls, path + "placement", path + "placement.theta")
 
     odoc = doc.get("orientation", "optimal")
     if odoc == "optimal":
@@ -226,9 +236,7 @@ def _scenario_from_dict(doc: Mapping, config_id: int = 0, path: str = "") -> Sce
 
     spacing_s = _spacing(doc, "spacing_s", Ls, path)
     spacing_p = _spacing(doc, "spacing_p", Lp, path)
-    quad_points = _integer(
-        doc.get("quad_points", DEFAULT_QUAD_POINTS), f"{path}quad_points", MIN_NODES, MAX_QUAD_POINTS
-    )
+    quad_points = _integer(doc.get("quad_points", DEFAULT_QUAD_POINTS), f"{path}quad_points")
     _checked(f"{path}quad_points", QuadratureRule, "simpson", quad_points)
 
     gdoc = doc.get("grid", list(DEFAULT_SEARCH_GRID))
@@ -236,7 +244,7 @@ def _scenario_from_dict(doc: Mapping, config_id: int = 0, path: str = "") -> Sce
         raise SchemaError(f"{path}grid: expected [n_psi, n_phi] integers, got {gdoc!r}")
     grid = tuple(_integer(n, f"{path}grid[{i}]", MIN_SEARCH_AXIS, MAX_GRID) for i, n in enumerate(gdoc))
 
-    sweep = None
+    sweep, theta_list = DEFAULT_KMAX_SWEEP, DEFAULT_KMAX_THETAS
     if "sweep" in doc:
         sdoc = doc["sweep"]
         if not isinstance(sdoc, dict):
@@ -251,14 +259,17 @@ def _scenario_from_dict(doc: Mapping, config_id: int = 0, path: str = "") -> Sce
         count = _integer(sdoc.get("count", DEFAULT_KMAX_SWEEP.count), path + "sweep.count")
         sweep = _checked(path + "sweep.count", SweepSpec, str(variable), start, stop, count)
 
-    theta_list: tuple[float, ...] = ()
     if "theta_list" in doc:
         tdoc = doc["theta_list"]
         if not isinstance(tdoc, list) or not tdoc:
             raise SchemaError(f"{path}theta_list: expected a non-empty array")
-        theta_list = tuple(
-            _in_range(t, f"{path}theta_list[{i}]", 0.0, 0.5 * math.pi) for i, t in enumerate(tdoc)
-        )
+        theta_list = tuple(_number(t, f"{path}theta_list[{i}]") for i, t in enumerate(tdoc))
+    if "sweep" in doc or "theta_list" in doc:  # as for a spacing, only a written pair is checked
+        r_fields = (path + "sweep.start", path + "sweep.stop")
+        for j, (R, theta) in enumerate(_checked(path + "theta_list", kmax_pairs, sweep, theta_list)):
+            tilt = f"{path}theta_list[{j % len(theta_list)}]"  # blamed at theta = pi/2 or with no sweep
+            near, far = (tilt, tilt) if theta == 0.5 * math.pi or "sweep" not in doc else r_fields
+            _open_fan(_checked(tilt, PolarPlacement, R, theta), Ls, near, far, 0.5 * Lp)
 
     return Scenario(
         lambda_m=lambda_m,

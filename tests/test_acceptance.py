@@ -39,6 +39,7 @@ from nfdof import (
     QuadratureRule,
 )
 
+from test_knumber import four_distance_k
 from test_numerics import hermitian_charpoly_roots
 
 LS = 100.0
@@ -187,15 +188,22 @@ def test_criterion_4_kmax_sweep(kmax_sweep):
         for R in rs
         for a, b in zip(thetas, thetas[1:])
     )
+    # each EK against the exact four-distance K at the orientation the search found
+    worst_oracle = 0.0
+    for (R, th), (_, r) in data.items():
+        seg = ArraySegment(PolarPlacement(R, th).point(), r.best_orientation.vector(), LP)
+        worst_oracle = max(worst_oracle, abs(r.best_k.value - four_distance_k(seg, LS)) / r.best_k.value)
     spot = data[(500.0, 0.0)][0]
     ok = (
         worst_gap <= 0.05
+        and worst_oracle <= 1e-9
         and mono_r
         and mono_theta
         and abs(spot - 19.90) <= 0.01
         and elapsed < 300.0
     )
     line = report(4, ok, f"worst |EK-AK|/AK = {worst_gap:.3%} (tol 5%), "
+                         f"worst |EK-oracle|/EK = {worst_oracle:.1e} (tol 1e-9), "
                          f"monotone in R: {mono_r}, in theta: {mono_theta}, "
                          f"AK(500,0) = {spot:.4f} (19.90 +- 0.01), "
                          f"{elapsed:.0f}s (budget 300s)")

@@ -140,6 +140,20 @@ class TestGeometryAngles:
         with pytest.raises(DegeneratePoint):
             geometry_angles(PolarPlacement(30.0, 0.5 * math.pi), LS)
 
+    @pytest.mark.parametrize(
+        "placement, distance",
+        [
+            (PolarPlacement(50.0, 0.0), 50.0),
+            (PolarPlacement(30.0, 0.5), 30.0 * math.cos(0.5)),  # y beside the segment
+            (PolarPlacement(100.0, 0.5 * math.pi), 50.0),  # the distance to the tip beyond it
+        ],
+    )
+    def test_reach_widens_the_segment_test(self, placement, distance):
+        message = f"the receive array reaches the transmit segment: distance {distance:g} <= Lp/2 = 50"
+        with pytest.raises(DegeneratePoint, match=f"^{message}$"):
+            geometry_angles(placement, LS, 50.0)
+        assert geometry_angles(placement, LS, distance - 1e-6) == geometry_angles(placement, LS)
+
     def test_alpha_matches_oracle_everywhere(self):
         rng = np.random.default_rng(3)
         A, B = endpoints()

@@ -264,6 +264,31 @@ class TestMaximize:
         with pytest.raises(DegenerateGeometry, match="subtends a zero angle"):
             maximize_k(PolarPlacement(500.0, 0.5 * math.pi), LP, LS)
 
+    @pytest.mark.parametrize("grid", [(8, 8), (9, 8), (64, 64)])
+    @pytest.mark.parametrize(
+        "placement, distance",
+        [
+            (PolarPlacement(50.0, 0.0), "50"),
+            (PolarPlacement(10.0, 0.3), "9.55336"),
+            (PolarPlacement(100.0, 0.5 * math.pi), "50"),
+        ],
+    )
+    def test_array_that_can_reach_the_segment_rejected(self, monkeypatch, grid, placement, distance):
+        # within Lp/2 of the segment some orientation lays the array across it, where
+        # the bandwidth is singular: psi = pi/2, phi' = 0 at (50, 0) puts an end node on it
+        monkeypatch.setattr("nfdof.knumber.k_number_numeric", lambda *a: pytest.fail("a K was evaluated"))
+        message = f"the receive array reaches the transmit segment: distance {distance} <= Lp/2 = 50"
+        with pytest.raises(DegeneratePoint, match=f"^{message}$"):
+            maximize_k(placement, LP, LS, grid=grid)
+
+    def test_array_just_beyond_its_reach_is_searched(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            "nfdof.knumber.k_number_numeric", lambda *a: calls.append(a) or KNumber(1.0, KMethod.NUMERIC)
+        )
+        maximize_k(PolarPlacement(50.0 + 1e-6, 0.0), LP, LS, grid=(8, 8))
+        assert len(calls) == 8 * 8 + 21 * 21
+
 
 class TestFourDistanceOracle:
     @pytest.mark.parametrize("nodes, rel", [(129, 1e-9), (1025, 1e-12)])

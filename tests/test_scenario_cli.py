@@ -5,6 +5,7 @@ import io
 import json
 import math
 import struct
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nfdof import SingularSpectrum, parse_scenario, parse_scenarios, run_validation
+from nfdof import PolarPlacement, SingularSpectrum, parse_scenario, parse_scenarios, run_validation
 from nfdof.channel import MAX_CHANNEL_ENTRIES
 from nfdof.cli import (
     MAX_AXIS_POINTS,
@@ -27,7 +28,15 @@ from nfdof.errors import RangeError, SchemaError
 from nfdof.knumber import MAX_GRID
 from nfdof.numerics import MAX_QUAD_POINTS
 from nfdof.validation import MAX_CASES, ValidationReport, check_closed_vs_oracle
-from nfdof.scenario import MAX_SWEEP_COUNT, SweepSpec, SweepTable, sha256_of
+from nfdof.scenario import (
+    DEFAULT_KMAX_SWEEP,
+    DEFAULT_KMAX_THETAS,
+    MAX_KMAX_PAIRS,
+    MAX_SWEEP_COUNT,
+    SweepSpec,
+    SweepTable,
+    sha256_of,
+)
 import nfdof.scenario as scenario_mod
 
 MINIMAL = {"lambda_m": 0.01, "Ls": 100, "Lp": 100, "placement": {"R": 500, "theta": 0}}
@@ -68,7 +77,7 @@ class TestParseScenario:
         assert sc.spacing_s == 0.5 and sc.spacing_p == 0.5
         assert sc.quad_points == 129
         assert sc.grid == (64, 64)
-        assert sc.sweep is None
+        assert sc.sweep == DEFAULT_KMAX_SWEEP and sc.theta_list == DEFAULT_KMAX_THETAS
         assert sc.orientation_mode == "optimal"
 
     def test_optimal_orientation_resolved(self):
@@ -219,8 +228,12 @@ class TestFieldChecks:
         ],
     )
     def test_integer_field_out_of_range_is_a_range_error(self, overrides, field):
-        # SweepSpec owns the count's range; the parser checks the others' caps itself
-        want = rf"sweep count must lie in \[1, {MAX_SWEEP_COUNT}\]" if "sweep" in field else r"-?\d+ outside \["
+        # SweepSpec owns the count's range and QuadratureRule the nodes'; the parser checks the grid's caps itself
+        want = r"-?\d+ outside \["
+        if "sweep" in field:
+            want = rf"sweep count must lie in \[1, {MAX_SWEEP_COUNT}\]"
+        if field == "quad_points":
+            want = rf"need 3 to {MAX_QUAD_POINTS} nodes, got \d+$"
         with pytest.raises(RangeError, match=rf"^{field}: {want}"):
             parse_scenario(scenario_text(**overrides))
 
@@ -243,6 +256,16 @@ class TestFieldChecks:
         assert main(["localbw-sweep", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == f"nfdof: error: {message}\n"
 
+    @pytest.mark.parametrize("count, n_thetas", [(MAX_SWEEP_COUNT, 200_000), (MAX_SWEEP_COUNT, 4), (7501, 4)])
+    def test_pair_grid_over_the_cap_checks_no_pair(self, monkeypatch, count, n_thetas):
+        built = []
+        monkeypatch.setattr(scenario_mod, "PolarPlacement", lambda *a: built.append(a) or PolarPlacement(*a))
+        text = scenario_text(sweep=sweep(count), theta_list=[0.1] * n_thetas)
+        want = rf"^theta_list: {count} x {n_thetas} \(R, theta\) pairs exceed {MAX_KMAX_PAIRS}$"
+        with pytest.raises(RangeError, match=want):
+            parse_scenario(text)
+        assert built == [(500.0, 0.0)]  # the placement alone
+
     def test_caps_themselves_parse(self):
         sc = parse_scenario(
             scenario_text(grid=[MAX_GRID, 8], quad_points=MAX_QUAD_POINTS, sweep=sweep(MAX_SWEEP_COUNT))
@@ -250,6 +273,9 @@ class TestFieldChecks:
         assert sc.grid == (MAX_GRID, 8)
         assert sc.quad_points == MAX_QUAD_POINTS
         assert sc.sweep.count == MAX_SWEEP_COUNT
+        assert sc.sweep.count * len(sc.theta_list) == MAX_KMAX_PAIRS  # every pair of which was checked
+        sc = parse_scenario(scenario_text(sweep=sweep(7500), theta_list=[0.1, 0.2, 0.3, 0.4]))
+        assert sc.sweep.count * len(sc.theta_list) == MAX_KMAX_PAIRS
 
     @pytest.mark.parametrize("parse", [parse_scenario, parse_scenarios])
     def test_on_axis_placement_names_theta(self, parse):
@@ -274,6 +300,19 @@ class TestFieldChecks:
     def test_spacing_with_too_many_antennas_names_field(self, spacing):
         with pytest.raises(RangeError, match="^spacing_s: .*steps"):
             parse_scenario(scenario_text(spacing_s=spacing))
+
+    def test_searched_placement_within_reach_names_field(self):
+        # svd-spectrum searches each placement: at R = Lp/2 the array's end could touch the segment
+        near = dict(MINIMAL, placement={"R": 50, "theta": 0})
+        message = "the receive array reaches the transmit segment: distance 50 <= Lp/2 = 50 (R=50, theta=0, Ls=100)"
+        with pytest.raises(RangeError) as exc:
+            parse_scenarios(json.dumps(near))
+        assert str(exc.value) == f"placement: {message}"
+        with pytest.raises(RangeError) as exc:
+            parse_scenarios(json.dumps({"scenarios": [MINIMAL, near]}))
+        assert str(exc.value) == f"scenarios[1].placement: {message}"
+        # maps and sweeps search nothing at the placement
+        assert parse_scenario(json.dumps(near)).placement.R == 50.0
 
     def test_default_spacing_is_not_checked_against_the_lengths(self):
         # maps and sweeps place no antennas, so any length parses without a spacing
@@ -625,6 +664,20 @@ class TestLibraryCaps:
         with pytest.raises(ValueError, match=rf"^need 2 to {MAX_AXIS_POINTS} points per axis, got {n_points}$"):
             getattr(cli_mod, command)(sc, n_points=n_points)
 
+    @pytest.mark.parametrize("theta_list", [(0.1,) * 4, (0.1,) * 200_000])
+    def test_kmax_pairs_over_the_cap_rejected(self, monkeypatch, theta_list):
+        import nfdof.cli as cli_mod
+
+        sc = replace(parse_scenario(scenario_text()), sweep=SweepSpec("R", 300.0, 1000.0, MAX_SWEEP_COUNT),
+                     theta_list=theta_list)
+        fail = lambda *a, **k: pytest.fail("work was done")  # noqa: E731
+        for name in ("PolarPlacement", "k_number_max", "maximize_k", "SweepTable"):
+            monkeypatch.setattr(cli_mod, name, fail)
+        monkeypatch.setattr(SweepSpec, "values", fail)
+        want = rf"^{MAX_SWEEP_COUNT} x {len(theta_list)} \(R, theta\) pairs exceed {MAX_KMAX_PAIRS}$"
+        with pytest.raises(ValueError, match=want):
+            cmd_kmax_sweep(sc)
+
     @pytest.mark.parametrize("n_cases", [-1, MAX_CASES + 1, 10**9])
     def test_validation_cases_outside_bounds_rejected(self, monkeypatch, n_cases):
         import nfdof.validation as validation_mod
@@ -758,18 +811,32 @@ class TestCliMain:
         "overrides, field",
         [
             ({"theta_list": [0.3, math.pi / 2]}, "theta_list[1]"),
+            ({"theta_list": [0.0, 3.5]}, "theta_list[1]"),
             ({"sweep": {"variable": "R", "start": 1e-10, "stop": 500, "count": 3}}, "sweep.start"),
             ({"sweep": {"variable": "R", "start": 500, "stop": 1e300, "count": 3}}, "sweep.stop"),
+            # R = 10 at theta = 0.3 lies 9.6 from the segment, within Lp/2 = 50
             (
                 {"sweep": {"variable": "R", "start": 10, "stop": 500}, "theta_list": [0.3, math.pi / 2]},
+                "sweep.start",
+            ),
+            # on the segment's axis the tilt is named, with a sweep too
+            (
+                {"sweep": {"variable": "R", "start": 200, "stop": 500}, "theta_list": [0.3, math.pi / 2]},
                 "theta_list[1]",
             ),
+            # an array whose end could touch the segment: at distance Lp/2, and within Lp/2 = 350
+            (
+                {"sweep": {"variable": "R", "start": 50, "stop": 50, "count": 1}, "theta_list": [0], "grid": [9, 8]},
+                "sweep.start",
+            ),
+            ({"Lp": 700, "theta_list": [0.3]}, "theta_list[0]"),
         ],
     )
     def test_kmax_pairs_checked_before_any_search(self, tmp_path, capsys, monkeypatch, overrides, field):
         import nfdof.cli as cli_mod
 
-        monkeypatch.setattr(cli_mod, "maximize_k", lambda *a, **k: pytest.fail("a search ran"))
+        for name in ("k_number_max", "maximize_k"):
+            monkeypatch.setattr(cli_mod, name, lambda *a, **k: pytest.fail("a K number was computed"))
         cfg = tmp_path / "kmax.json"
         cfg.write_text(scenario_text(**overrides))
         assert main(["kmax-sweep", "--config", str(cfg)]) == 2
