@@ -146,12 +146,15 @@ def _pivoted_r(A: np.ndarray) -> np.ndarray:
         p = int(np.argmax(norms))
         if norms[p] == 0.0:
             break
-        R[:, [j, j + p]] = R[:, [j + p, j]]
+        if p:
+            R[:, [j, j + p]] = R[:, [j + p, j]]
         v = block[:, 0].copy()
         phase = v[0] / abs(v[0]) if v[0] != 0.0 else 1.0
         v[0] += phase * norms[p]  # v = x - alpha e1 with alpha = -phase * |x|
         v /= np.linalg.norm(v)
-        block -= 2.0 * np.outer(v, v.conj() @ block)
+        # 2.0 * v is exact and np.outer takes the loop of np.outer(v, ...), so this equals
+        # 2.0 * np.outer(v, ...) bit for bit without its second temporary
+        block -= np.outer(2.0 * v, v.conj() @ block)
     return np.triu(R[:k])
 
 

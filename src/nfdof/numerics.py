@@ -59,8 +59,11 @@ def hermitian_eigenvalues(
 ) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, descending, by cyclic Jacobi rotations.
 
-    Each sweep visits every upper-triangle pivot and applies the unitary
-    2x2 rotation that annihilates it; off-diagonal mass decreases
+    Each sweep finds, column by column and top to bottom, the next
+    upper-triangle pivot above the skip bound ``tol * ||M||_F / (2n)``
+    (Demmel & Veselic 1992) with one vector compare, and applies the unitary
+    2x2 rotation that annihilates it: the rotations and their order are those
+    of a cyclic sweep that tests every pivot.  Off-diagonal mass decreases
     monotonically and the iteration stops once its Frobenius norm falls
     below ``tol`` times the matrix norm.
 
@@ -93,10 +96,17 @@ def hermitian_eigenvalues(
         if off <= target:
             break
         for q in range(1, n):
-            for p in range(0, q):
+            p = 0
+            while p < q:
+                # Next pivot above skip in column q, which changes only when one rotates; np.hypot
+                # is the libm hypot of abs(A[p, q]), where np.abs can differ in the last bit.
+                col = A[p:q, q]
+                above = np.hypot(col.real, col.imag) > skip
+                k = int(above.argmax())
+                if not above[k]:
+                    break
+                p += k
                 m = abs(A[p, q])
-                if m <= skip:
-                    continue
                 app = A[p, p].real
                 aqq = A[q, q].real
                 u = A[p, q] / m
@@ -109,12 +119,15 @@ def hermitian_eigenvalues(
                 s = t * c
                 # A <- U^H A U with U = I except the (p, q) block [[c, -s u], [s conj(u), c]].
                 U2 = np.array([[c, -s * u], [s * np.conj(u), c]])
-                A[:, [p, q]] = A[:, [p, q]] @ U2
-                A[[p, q], :] = U2.conj().T @ A[[p, q], :]
+                cols = A[:, p : q + 1 : q - p]
+                cols[...] = cols @ U2
+                rows = A[p : q + 1 : q - p, :]
+                rows[...] = U2.conj().T @ rows
                 A[p, p] = app + t * m
                 A[q, q] = aqq - t * m
                 A[p, q] = 0.0
                 A[q, p] = 0.0
+                p += 1
     else:
         if _offdiag_norm(A) > target:
             raise NumericalFailure(

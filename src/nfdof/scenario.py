@@ -26,7 +26,8 @@ checked only by parse_scenarios, the parser of svd-spectrum, which places
 antennas and also caps the channel at MAX_CHANNEL_ENTRIES.
 A written sweep or theta_list has its at most MAX_KMAX_PAIRS (R, theta) pairs
 checked for a K number and for the Lp/2 reach that maximize_k refuses, as is a
-placement of parse_scenarios; _open_fan alone names a geometry error's field.
+placement of parse_scenarios; the parser of kmax-sweep checks the default pairs
+too.  _open_fan alone names a geometry error's field.
 """
 
 from __future__ import annotations
@@ -169,13 +170,16 @@ def _decode(text: str) -> dict:
     return doc
 
 
-def parse_scenario(text: str) -> Scenario:
+def parse_scenario(text: str, kmax_sweep: bool = False) -> Scenario:
     """Parse and validate a scenario document, applying defaults.
+
+    With ``kmax_sweep`` (kmax-sweep's parser) the default (R, theta) pairs are
+    checked too, naming Lp, the one field that can bring them within reach.
 
     Raises SchemaError for structural problems (with the offending field
     path) and RangeError for out-of-range values.
     """
-    return _scenario_from_dict(_decode(text))
+    return _scenario_from_dict(_decode(text), kmax_sweep=kmax_sweep)
 
 
 def parse_scenarios(text: str) -> list[Scenario]:
@@ -209,7 +213,7 @@ def _channel_scenario(doc: Mapping, config_id: int = 0, path: str = "") -> Scena
     return sc
 
 
-def _scenario_from_dict(doc: Mapping, config_id: int = 0, path: str = "") -> Scenario:
+def _scenario_from_dict(doc: Mapping, config_id: int = 0, path: str = "", kmax_sweep: bool = False) -> Scenario:
     lambda_m = _positive(_require(doc, "lambda_m", path), path + "lambda_m")
     Ls = _positive(_require(doc, "Ls", path), path + "Ls")
     Lp = _positive(_require(doc, "Lp", path), path + "Lp")
@@ -264,11 +268,12 @@ def _scenario_from_dict(doc: Mapping, config_id: int = 0, path: str = "") -> Sce
         if not isinstance(tdoc, list) or not tdoc:
             raise SchemaError(f"{path}theta_list: expected a non-empty array")
         theta_list = tuple(_number(t, f"{path}theta_list[{i}]") for i, t in enumerate(tdoc))
-    if "sweep" in doc or "theta_list" in doc:  # as for a spacing, only a written pair is checked
-        r_fields = (path + "sweep.start", path + "sweep.stop")
+    written = "sweep" in doc or "theta_list" in doc
+    if written or kmax_sweep:  # as for a spacing, only a written pair is checked, except for kmax-sweep
+        r_fields = (path + "sweep.start", path + "sweep.stop") if written else (path + "Lp",) * 2
         for j, (R, theta) in enumerate(_checked(path + "theta_list", kmax_pairs, sweep, theta_list)):
             tilt = f"{path}theta_list[{j % len(theta_list)}]"  # blamed at theta = pi/2 or with no sweep
-            near, far = (tilt, tilt) if theta == 0.5 * math.pi or "sweep" not in doc else r_fields
+            near, far = (tilt, tilt) if theta == 0.5 * math.pi or written and "sweep" not in doc else r_fields
             _open_fan(_checked(tilt, PolarPlacement, R, theta), Ls, near, far, 0.5 * Lp)
 
     return Scenario(

@@ -830,6 +830,8 @@ class TestCliMain:
                 "sweep.start",
             ),
             ({"Lp": 700, "theta_list": [0.3]}, "theta_list[0]"),
+            # neither sweep nor theta_list: a default pair at R = 300 lies within Lp/2 = 350
+            ({"Lp": 700}, "Lp"),
         ],
     )
     def test_kmax_pairs_checked_before_any_search(self, tmp_path, capsys, monkeypatch, overrides, field):
@@ -841,6 +843,13 @@ class TestCliMain:
         cfg.write_text(scenario_text(**overrides))
         assert main(["kmax-sweep", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith(f"nfdof: error: {field}: ")
+
+    @pytest.mark.parametrize("command", ["localbw-sweep", "maxbw-map"])
+    def test_default_kmax_pairs_checked_only_for_kmax_sweep(self, tmp_path, command):
+        # the document kmax-sweep refuses for its default pairs places no array for the maps
+        cfg = tmp_path / "long.json"
+        cfg.write_text(scenario_text(Lp=700))
+        assert main([command, "--config", str(cfg), "--grid", "3", "--out", str(tmp_path / "out.csv")]) == 0
 
     def test_channel_over_the_cap_exits_before_any_antenna_is_placed(self, tmp_path, capsys, monkeypatch):
         import nfdof.cli as cli_mod
