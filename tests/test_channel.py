@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfdof import (
     ArraySegment,
@@ -17,7 +19,7 @@ from nfdof import (
     optimal_orientation,
     singular_spectrum,
 )
-from nfdof.channel import _pivoted_r
+from nfdof.channel import KEPT_JACOBI_TOL, NOISE_FLOOR, _pivoted_r
 from nfdof.errors import AllZeroSpectrum, CoincidentAntennas, NonIntegerGrid
 
 Z_AXIS = (0.0, 0.0, 1.0)
@@ -160,6 +162,49 @@ class TestSingularSpectrum:
         H = ChannelMatrix(entries=np.array([[np.inf + 0j]]), lambda_m=0.01)
         with pytest.raises(ValueError):
             singular_spectrum(H)
+
+    def test_subnormal_leading_entry(self):
+        # the first pivot's leading entry is subnormal, so 1 / |v[0]| overflows
+        A = np.array([[2.2e-311 + 2.2e-311j], [1.0 + 2.2e-311j]])
+        s = singular_spectrum(ChannelMatrix(entries=A, lambda_m=0.01))
+        assert s.values == pytest.approx(np.linalg.svd(A, compute_uv=False), rel=1e-15)
+
+
+class TestNoiseFloor:
+    @pytest.mark.parametrize("R", [1000.0, 2000.0])
+    @pytest.mark.parametrize("theta", [0.0, math.pi / 3.0])
+    @pytest.mark.parametrize("Lp", [50.0, 200.0])
+    def test_benchmark_band_channels(self, R, theta, Lp):
+        H = build_channel(R, theta, 100.0, Lp, 0.5)
+        s = singular_spectrum(H).normalized
+        ref = np.linalg.svd(H.entries, compute_uv=False)
+        fro = np.linalg.norm(H.entries) / ref[0]
+        ref = ref / ref[0]
+        dev = np.abs(s - ref)
+        assert dev[ref > 1e-6].max() <= 1e-12
+        # Jacobi on the full R R^H at HERMITIAN_TOL was off by up to 1.25e-8 on these channels
+        assert dev.max() <= 1e-8
+        dropped = s == 0.0
+        assert dropped.any()
+        assert (ref[dropped] <= NOISE_FLOOR * fro).all()
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        rank=st.integers(1, 4),
+        noise=st.floats(-18.0, -1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_low_rank_plus_noise(self, shape, rank, noise, seed):
+        # Weyl: the dropped rows move each value by at most NOISE_FLOOR * ||A||_F; Jacobi's
+        # residual KEPT_JACOBI_TOL * ||A||_F^2 on the squares moves it by at most its root
+        rng = np.random.default_rng(seed)
+        A = complex_normal(rng, (shape[0], rank)) @ complex_normal(rng, (rank, shape[1]))
+        A += 10.0**noise * complex_normal(rng, shape)
+        s = singular_spectrum(ChannelMatrix(entries=A, lambda_m=0.01)).values
+        fro = np.linalg.norm(A)
+        bound = NOISE_FLOOR * fro + math.sqrt(KEPT_JACOBI_TOL) * fro
+        assert np.abs(s - np.linalg.svd(A, compute_uv=False)).max() <= bound
 
 
 def complex_normal(rng, shape):

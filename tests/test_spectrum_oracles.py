@@ -2,9 +2,11 @@
 
 ``cyclic_jacobi`` steps through every upper-triangle pivot in Python and
 rotates through list-index copies; ``householder_r`` swaps a pivot column
-into place even when it is there already and scales the outer product by 2.
-``hermitian_eigenvalues`` and ``_pivoted_r`` must give the same arrays,
-so ``np.array_equal`` is the only comparison used here.
+into place even when it is there already.
+Both keep the kernels' stop rules: the QR stops at the noise floor and the
+Jacobi on the kept rows runs at KEPT_JACOBI_TOL.  ``hermitian_eigenvalues``
+and ``_pivoted_r`` must give the same arrays, so ``np.array_equal`` is the
+only comparison used here.
 """
 
 import math
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from nfdof import ChannelMatrix, hermitian_eigenvalues, singular_spectrum
-from nfdof.channel import _pivoted_r
+from nfdof.channel import KEPT_JACOBI_TOL, NOISE_FLOOR, _pivoted_r
 from nfdof.numerics import HERMITIAN_TOL
 
 from test_channel import build_channel
@@ -62,36 +64,49 @@ def cyclic_jacobi(M, tol=HERMITIAN_TOL, max_sweeps=100):
 
 
 def householder_r(A):
-    """The pivoted Householder R with an unconditional swap and 2.0 * np.outer."""
+    """The pivoted Householder R with an unconditional swap."""
     R = np.array(A, dtype=np.complex128)
     m, n = R.shape
     k = min(m, n)
+    floor = NOISE_FLOOR * np.linalg.norm(R)
     for j in range(k):
         block = R[j:, j:]
-        norms = np.sqrt(np.einsum("ij,ij->j", block.real, block.real)
-                        + np.einsum("ij,ij->j", block.imag, block.imag))
-        p = int(np.argmax(norms))
-        if norms[p] == 0.0:
+        squares = (np.einsum("ij,ij->j", block.real, block.real)
+                   + np.einsum("ij,ij->j", block.imag, block.imag))
+        if math.sqrt(squares.sum()) <= floor:
+            R[j:k] = 0.0
             break
+        norms = np.sqrt(squares)
+        p = int(np.argmax(norms))
         R[:, [j, j + p]] = R[:, [j + p, j]]
         v = block[:, 0].copy()
-        phase = v[0] / abs(v[0]) if v[0] != 0.0 else 1.0
-        v[0] += phase * norms[p]
+        scale = max(abs(v[0].real), abs(v[0].imag))
+        u = complex(v[0].real / scale, v[0].imag / scale) if scale else 1.0
+        v[0] += u / abs(u) * norms[p]
         v /= np.linalg.norm(v)
-        block -= 2.0 * np.outer(v, v.conj() @ block)
+        # 2.0 * np.outer(v, ...), the form this loop first had, rounds unlike this where a
+        # product is subnormal
+        block -= np.outer(2.0 * v, v.conj() @ block)
     return np.triu(R[:k])
 
 
 def assert_same_route(H):
-    """Each stage of singular_spectrum equals the replaced one on the same input."""
+    """Each stage of singular_spectrum equals the replaced one on the same input.
+
+    Returns R and the kept rank, the count of rows above the noise floor.
+    """
     A = H.entries if H.entries.shape[0] >= H.entries.shape[1] else H.entries.conj().T
     R = householder_r(A)
     assert np.array_equal(_pivoted_r(A), R)
-    G = R @ R.conj().T
-    eig = cyclic_jacobi(G)
-    assert np.array_equal(hermitian_eigenvalues(G), eig)
-    assert np.array_equal(singular_spectrum(H).values, np.sqrt(np.maximum(eig, 0.0)))
-    return R
+    rank = int(np.count_nonzero(np.diagonal(R)))
+    assert not R[rank:].any()
+    G = R[:rank] @ R[:rank].conj().T
+    eig = cyclic_jacobi(G, tol=KEPT_JACOBI_TOL)
+    assert np.array_equal(hermitian_eigenvalues(G, tol=KEPT_JACOBI_TOL), eig)
+    values = np.zeros(R.shape[0])
+    values[:rank] = np.sqrt(np.maximum(eig, 0.0))
+    assert np.array_equal(singular_spectrum(H).values, values)
+    return R, rank
 
 
 def random_hermitian(rng, eigenvalues):
@@ -104,21 +119,29 @@ def random_hermitian(rng, eigenvalues):
 class TestChannels:
     # (Ls, Lp): the order of R R^H is the smaller antenna count; a wide H is
     # reduced through the F-ordered H^H, so _pivoted_r works on an F-ordered copy.
+    # The kept rank is the count of rows the QR reduces before the noise floor.
     @pytest.mark.parametrize(
-        "Ls, Lp, order, tall",
-        [(50.0, 100.0, 101, True), (100.0, 50.0, 101, False), (100.0, 200.0, 201, True), (200.0, 100.0, 201, False)],
+        "Ls, Lp, order, tall, rank",
+        [
+            (50.0, 100.0, 101, True, 25),
+            (100.0, 50.0, 101, False, 25),
+            (100.0, 200.0, 201, True, 56),
+            (200.0, 100.0, 201, False, 56),
+        ],
     )
-    def test_channel_spectra_equal_the_cyclic_loop(self, Ls, Lp, order, tall):
+    def test_channel_spectra_equal_the_cyclic_loop(self, Ls, Lp, order, tall, rank):
         H = build_channel(500.0, math.pi / 6.0, Ls, Lp, 0.5)
         assert (H.entries.shape[0] > H.entries.shape[1]) == tall
-        R = assert_same_route(H)
+        R, kept = assert_same_route(H)
         assert R.shape == (order, order)
+        assert kept == rank
 
     def test_rank_deficient_channel_stops_at_a_zero_norm(self):
         entries = build_channel(500.0, math.pi / 6.0, 50.0, 100.0, 0.5).entries.copy()
         entries[:, 7] = 0.0  # a dead transmit antenna: rank 100 of 101
-        R = assert_same_route(ChannelMatrix(entries=entries, lambda_m=0.01))
-        # the last step finds no column left; without the break it would divide by a zero norm
+        R, kept = assert_same_route(ChannelMatrix(entries=entries, lambda_m=0.01))
+        # the QR stops at the noise floor, long before the zero column
+        assert kept == 25
         assert np.isfinite(R).all()
         assert (R[-1] == 0.0).all()
 
@@ -131,10 +154,8 @@ class TestPivotedR:
         )
     )
     def test_small_matrices(self, parts):
-        # a subnormal leading entry overflows the phase v[0] / |v[0]| and gives
-        # NaN in both, in the same places
         A = parts[0] + 1j * parts[1]
-        assert np.array_equal(_pivoted_r(A), householder_r(A), equal_nan=True)
+        assert np.array_equal(_pivoted_r(A), householder_r(A))
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_square_matrices(self, n):
