@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegeneratePoint
-from .geometry import K0, Vec3, canonicalize, geometry_angles, unit
+from .geometry import K0, Vec3, _fan_angles, canonicalize, unit
 
 DEFAULT_ORACLE_SAMPLES = 100_000
 
@@ -131,12 +131,13 @@ def local_bandwidth_closed(p: Sequence[float], v: Sequence[float], Ls: float) ->
     """Closed-form local bandwidth at point ``p`` for receive direction ``v``.
 
     The placement is first reduced to the canonical frame; a collinear
-    placement (zero fan) or a direction along the segment gives 0.
+    placement (zero fan) or a direction along the segment gives 0.  The
+    segment test and fan are ``geometry._fan_angles``, as two floats.
     """
     placement, v_c, _ = canonicalize(p, v)
-    ang = geometry_angles(placement, Ls)
+    alpha, beta = _fan_angles(placement, Ls)
     psi, phi = _direction_angles(v_c)
-    return omega_from_angles(psi, reduce_phi_prime(phi, ang.beta), ang.alpha)
+    return omega_from_angles(psi, reduce_phi_prime(phi, beta), alpha)
 
 
 def local_bandwidth_oracle(

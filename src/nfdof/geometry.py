@@ -154,11 +154,16 @@ def canonicalize(
 def geometry_angles(placement: PolarPlacement, Ls: float, reach: float = 0.0) -> GeometryAngles:
     """Compute (alpha, beta) for a canonical placement and transmit length.
 
-    The package's one segment test: a placement within ``reach`` (Lp/2 for a
-    receive array centered there) plus ``SEGMENT_TOL`` of the segment raises
-    DegeneratePoint.  On the z-axis beyond the segment tip all arrival
-    directions are parallel: alpha = 0 and beta = pi/2.
+    The package's one segment test and fan formula are ``_fan_angles``: a
+    placement within ``reach`` (Lp/2 for a receive array centered there) plus
+    ``SEGMENT_TOL`` of the segment raises DegeneratePoint.  On the z-axis beyond
+    the segment tip all arrival directions are parallel: alpha = 0, beta = pi/2.
     """
+    return GeometryAngles(*_fan_angles(placement, Ls, reach))
+
+
+def _fan_angles(placement: PolarPlacement, Ls: float, reach: float = 0.0) -> tuple[float, float]:
+    """(alpha, beta) of ``geometry_angles`` as two floats, for the per-node bandwidth call."""
     if Ls <= 0.0:
         raise ValueError(f"Ls must be positive, got {Ls}")
     h = 0.5 * Ls
@@ -171,8 +176,8 @@ def geometry_angles(placement: PolarPlacement, Ls: float, reach: float = 0.0) ->
 
     gamma_a = math.atan2(z - h, y)  # arrival angle from endpoint (0, 0, +h)
     gamma_b = math.atan2(z + h, y)  # arrival angle from endpoint (0, 0, -h)
-    alpha = max(0.0, gamma_b - gamma_a)
-    return GeometryAngles(alpha=alpha, beta=0.5 * (gamma_a + gamma_b))
+    d = gamma_b - gamma_a
+    return (d if d > 0.0 else 0.0), 0.5 * (gamma_a + gamma_b)  # max(0.0, d), also at -0.0 and NaN
 
 
 def subtended_angle_oracle(

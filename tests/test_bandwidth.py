@@ -5,6 +5,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfdof import (
     K0,
@@ -24,7 +26,9 @@ from nfdof import (
     reduce_phi_prime,
     spatial_frequency,
 )
+from nfdof.bandwidth import _direction_angles
 from nfdof.errors import DegeneratePoint
+from nfdof.geometry import SEGMENT_TOL, _fan_angles
 
 LS = 100.0
 
@@ -177,6 +181,84 @@ class TestClosedForm:
     def test_on_segment_rejected(self):
         with pytest.raises(DegeneratePoint):
             local_bandwidth_closed((0.0, 0.0, 10.0), (0.0, 1.0, 0.0), LS)
+
+
+def objects_local_bandwidth_closed(p, v, Ls):
+    """The per-node composition that built a GeometryAngles object, with its fan formula inlined.
+
+    canonicalize -> geometry_angles -> _direction_angles -> reduce_phi_prime ->
+    omega_from_angles, as local_bandwidth_closed was before it took the fan
+    from ``_fan_angles`` as two floats.
+    """
+    placement, v_c, _ = canonicalize(p, v)
+    h = 0.5 * Ls
+    y = placement.R * math.cos(placement.theta)
+    z = placement.R * math.sin(placement.theta)
+    if (y if z <= h else math.hypot(y, z - h)) <= SEGMENT_TOL:
+        raise DegeneratePoint("placement intersects the transmit segment")
+    gamma_a, gamma_b = math.atan2(z - h, y), math.atan2(z + h, y)
+    alpha, beta = max(0.0, gamma_b - gamma_a), 0.5 * (gamma_a + gamma_b)
+    psi, phi = _direction_angles(v_c)
+    return omega_from_angles(psi, reduce_phi_prime(phi, beta), alpha)
+
+
+def outcome(f, *args):
+    """f(*args), or the type and text of what it raised."""
+    try:
+        return f(*args)
+    except ValueError as exc:  # every error of the package is a ValueError
+        return type(exc), str(exc)
+
+
+coord = st.floats(-3000.0, 3000.0, allow_nan=False)
+
+
+class TestFanAnglesEntry:
+    """local_bandwidth_closed reads the fan as two floats and equals the object composition bit for bit."""
+
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(
+        p=st.tuples(coord, coord, coord),
+        v=st.tuples(*[st.floats(-1.0, 1.0, allow_nan=False)] * 3),
+        Ls=st.floats(0.5, 500.0),
+    )
+    def test_equals_the_object_composition(self, p, v, Ls):
+        assert outcome(local_bandwidth_closed, p, v, Ls) == outcome(objects_local_bandwidth_closed, p, v, Ls)
+
+    @pytest.mark.parametrize(
+        "p, v",
+        [
+            ((0.0, 0.0, 300.0), (0.0, 1.0, 0.0)),  # rho = 0, on the z axis beyond the tip
+            ((0.0, 0.0, -300.0), (0.3, 0.4, 0.5)),  # rho = 0, mirrored
+            ((0.0, 250.0, -120.0), (0.1, -0.7, 0.2)),  # z < 0: mirror
+            ((-200.0, 35.0, 60.0), (0.6, 0.2, -0.3)),  # x < 0: rotation past pi/2
+            ((-150.0, -150.0, 0.0), (0.0, 0.0, 1.0)),  # x, y < 0 in the plane z = 0
+            ((1e-3, 0.0, 49.0), (1.0, 1.0, 0.0)),  # just off the segment
+        ],
+    )
+    def test_rows_equal_the_object_composition(self, p, v):
+        value = local_bandwidth_closed(p, v, LS)
+        assert value == objects_local_bandwidth_closed(p, v, LS)
+        placement, _, _ = canonicalize(p, v)
+        ang = geometry_angles(placement, LS)
+        assert _fan_angles(placement, LS) == (ang.alpha, ang.beta)
+
+    def test_z_axis_beyond_the_tip_has_a_zero_fan(self):
+        placement = PolarPlacement(300.0, 0.5 * math.pi)
+        assert _fan_angles(placement, LS)[0] == 0.0
+        assert local_bandwidth_closed((0.0, 0.0, 300.0), (0.0, 1.0, 0.0), LS) == 0.0
+
+    @pytest.mark.parametrize("entry", [geometry_angles, _fan_angles])
+    def test_both_entries_keep_the_segment_texts(self, entry):
+        with pytest.raises(DegeneratePoint, match="^placement intersects the transmit segment$"):
+            entry(PolarPlacement(30.0, 0.5 * math.pi), LS)
+        message = "^the receive array reaches the transmit segment: distance 40 <= Lp/2 = 50$"
+        with pytest.raises(DegeneratePoint, match=message):
+            entry(PolarPlacement(40.0, 0.0), LS, 0.5 * 100.0)
+
+    def test_closed_form_keeps_the_on_segment_text(self):
+        with pytest.raises(DegeneratePoint, match="^placement intersects the transmit segment$"):
+            local_bandwidth_closed((0.0, 1e-10, -20.0), (0.0, 1.0, 0.0), LS)
 
 
 class TestOracle:

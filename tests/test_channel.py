@@ -169,6 +169,39 @@ class TestSingularSpectrum:
         s = singular_spectrum(ChannelMatrix(entries=A, lambda_m=0.01))
         assert s.values == pytest.approx(np.linalg.svd(A, compute_uv=False), rel=1e-15)
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e160, 1e-300, 1e300])
+    def test_tiny_and_huge_entries_match_reference_svd(self, scale):
+        # unscaled, the QR's squared norms underflow to an all-zero spectrum (1e-170) or the
+        # Frobenius floor overflows to inf (1e160)
+        rng = np.random.default_rng(54)
+        A = (rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))) * scale
+        s = singular_spectrum(ChannelMatrix(entries=A, lambda_m=0.01))
+        ref = np.linalg.svd(A, compute_uv=False)
+        assert s.values == pytest.approx(ref, rel=1e-12)
+        assert s.normalized == pytest.approx(ref / ref[0], rel=1e-12)
+
+    def test_parts_above_the_float_range_over_root_two(self):
+        # |entry| overflows although both parts are finite; the top values exceed the float range
+        rng = np.random.default_rng(55)
+        u = rng.uniform(0.5, 1.0, size=(2, 4, 3))
+        A = 1.5e308 * u[0] + 1.5e308j * u[1]
+        with pytest.warns(RuntimeWarning, match="overflow encountered in ldexp"):
+            s = singular_spectrum(ChannelMatrix(entries=A, lambda_m=0.01))
+        scaled = np.ldexp(A.real, -1024) + 1j * np.ldexp(A.imag, -1024)
+        ref = np.linalg.svd(scaled, compute_uv=False)
+        assert s.normalized == pytest.approx(ref / ref[0], rel=1e-12)
+        with np.errstate(over="ignore"):
+            assert s.values == pytest.approx(np.ldexp(ref, 1024), rel=1e-12)
+        assert s.values[0] == np.inf and np.isfinite(s.values[-1])
+
+    @pytest.mark.parametrize("k", [-900, -400, -220, -1, 1, 220, 400, 900])
+    def test_power_of_two_scale_moves_every_value_exactly(self, k):
+        H = build_channel(300.0, 0.3, 40.0, 40.0, 0.5)
+        base = singular_spectrum(H)
+        s = singular_spectrum(ChannelMatrix(entries=H.entries * 2.0**k, lambda_m=0.01))
+        assert np.array_equal(s.values, np.ldexp(base.values, k))
+        assert np.array_equal(s.normalized, base.normalized)
+
 
 class TestNoiseFloor:
     @pytest.mark.parametrize("R", [1000.0, 2000.0])

@@ -1,6 +1,8 @@
 """K numbers: quadrature, center approximation, and the orientation search."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from nfdof.knumber import MAX_GRID
 
 LS = 100.0
 LP = 100.0
+KMAX_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "kmax_reference.json"
 
 
 def orientation_vector(psi, phi):
@@ -214,6 +217,14 @@ class TestMaximize:
         a = maximize_k(placement, LP, LS, grid=(12, 12), quad_points=33)
         b = maximize_k(placement, LP, LS, grid=(12, 12), quad_points=33)
         assert a == b
+
+    def test_full_size_search_reproduces_the_stored_ek(self):
+        # the default 64x64 search at 129 nodes, as kmax-sweep runs it, against the EK that
+        # perfbench/make_reference.py stored for the first placement of the benchmark's pool
+        with open(KMAX_REFERENCE, encoding="utf-8") as fh:
+            ref = json.load(fh)["placements"][0]
+        result = maximize_k(PolarPlacement(ref["R"], ref["theta"]), LP, LS)
+        assert result.best_k.value == ref["EK"]
 
     def test_scan_order_and_tie_rule(self, monkeypatch):
         import nfdof.knumber as knumber_mod
