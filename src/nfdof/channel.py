@@ -207,9 +207,12 @@ def edof_threshold(spectrum: SingularSpectrum, tau: float = DEFAULT_TAU) -> int:
 
 
 def edof_quadratic(spectrum: SingularSpectrum) -> float:
-    """Threshold-free effective rank (sum s^2)^2 / sum s^4, in [1, #nonzero]."""
-    s2 = float(np.sum(spectrum.values**2))
+    """Threshold-free effective rank (sum s^2)^2 / sum s^4, in [1, #nonzero].
+
+    The ratio does not depend on the scale, so it is read from the normalized
+    values, whose powers neither overflow nor underflow to zero.
+    """
+    s2 = float(np.sum(spectrum.normalized**2))
     if s2 == 0.0:
         raise AllZeroSpectrum("all singular values are zero")
-    s4 = float(np.sum(spectrum.values**4))
-    return s2 * s2 / s4
+    return s2 * s2 / float(np.sum(spectrum.normalized**4))

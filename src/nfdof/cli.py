@@ -253,7 +253,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "svd-spectrum":
             table = cmd_svd_spectrum(parse_scenarios(config_text), tau=args.tau)
         else:
-            scenario = parse_scenario(config_text, kmax_sweep=args.command == "kmax-sweep")
+            scenario = parse_scenario(config_text, args.command)
             if args.command == "localbw-sweep":
                 table = cmd_localbw_sweep(scenario, n_points=args.grid)
             elif args.command == "maxbw-map":

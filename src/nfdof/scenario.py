@@ -15,19 +15,21 @@ radians:
       "theta_list": [0, 0.5236, 1.0472]
     }
 
-Only lambda_m, Ls, Lp and placement are required.  "optimal" resolves to
-the bandwidth-maximizing receive direction for the given placement, which
-must lie neither on the transmit segment nor on its axis.  QuadratureRule,
-maximize_k and SweepSpec own these caps, and PolarPlacement and
-OrientationAngles the angle ranges; each refuses the same values when
-called directly, and the parser only adds the field name.  A spacing given
-in the document must divide its array length; the default lambda/2 is
-checked only by parse_scenarios, the parser of svd-spectrum, which places
-antennas and also caps the channel at MAX_CHANNEL_ENTRIES.
-A written sweep or theta_list has its at most MAX_KMAX_PAIRS (R, theta) pairs
-checked for a K number and for the Lp/2 reach that maximize_k refuses, as is a
-placement of parse_scenarios; the parser of kmax-sweep checks the default pairs
-too.  _open_fan alone names a geometry error's field.
+READS names the fields each subcommand reads.  parse_scenario(text, command)
+requires and checks those alone, each by one set of checks whether written or
+defaulted; a field the subcommand does not read is ignored, and its Scenario
+attribute is None.  Of the fields read, only lambda_m, Ls, Lp and placement
+are required.  "optimal" resolves to the bandwidth-maximizing receive
+direction for the given placement, which must lie neither on the transmit
+segment nor on its axis.  QuadratureRule, maximize_k and SweepSpec own these
+caps, and PolarPlacement and OrientationAngles the angle ranges; each refuses
+the same values when called directly, and the parser only adds the field
+name.  The at most MAX_KMAX_PAIRS (R, theta) pairs of kmax-sweep are checked
+for a K number and for the Lp/2 reach that maximize_k refuses.
+parse_scenarios, the parser of svd-spectrum, which places antennas, adds the
+channel checks: each spacing divides its length, the channel has at most
+MAX_CHANNEL_ENTRIES entries, and the placement lies beyond the Lp/2 reach of
+its search.  _open_fan alone names a geometry error's field.
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
-from typing import IO, Callable, Mapping, Sequence
+from typing import IO, Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -52,6 +54,15 @@ DEFAULT_SPACING = 0.5
 MAX_SWEEP_COUNT = 10_000  # values() allocates the whole sweep
 MAX_KMAX_PAIRS = 3 * MAX_SWEEP_COUNT  # a full sweep at the three default tilts; one search per pair
 _EMIT_BLOCK_ROWS = 4096  # rows per write, each distinct value of a column formatted once per block
+READS = {  # the document fields each subcommand reads, and so requires and checks
+    "localbw-sweep": ("Ls", "placement"),
+    "maxbw-map": ("Ls",),
+    "kmax-sweep": ("Ls", "Lp", "quad_points", "grid", "sweep", "theta_list"),
+    "svd-spectrum": (
+        "lambda_m", "Ls", "Lp", "placement", "orientation", "spacing_s", "spacing_p", "quad_points", "grid"
+    ),
+}
+_EVERY_FIELD = frozenset().union(*READS.values())
 
 
 @dataclass(frozen=True)
@@ -83,6 +94,8 @@ def kmax_pairs(sweep: SweepSpec, thetas: Sequence[float]) -> list[tuple[float, f
 
 @dataclass(frozen=True)
 class Scenario:
+    """A parsed scenario document; a field the parsing subcommand does not read (READS) is None."""
+
     lambda_m: float
     Ls: float
     Lp: float
@@ -151,14 +164,6 @@ def _open_fan(placement: PolarPlacement, Ls: float, near: str, far: str, reach: 
         raise RangeError(f"{name}: {exc} (R={placement.R:g}, theta={placement.theta:g}, Ls={Ls:g})") from None
 
 
-def _spacing(doc: Mapping, key: str, length: float, path: str) -> float:
-    if key not in doc:
-        return DEFAULT_SPACING
-    spacing = _positive(doc[key], path + key)
-    _checked(path + key, grid_steps, length, spacing)  # the spacing must divide the length
-    return spacing
-
-
 def _decode(text: str) -> dict:
     """The top-level JSON object of a scenario document."""
     try:
@@ -170,24 +175,21 @@ def _decode(text: str) -> dict:
     return doc
 
 
-def parse_scenario(text: str, kmax_sweep: bool = False) -> Scenario:
-    """Parse and validate a scenario document, applying defaults.
-
-    With ``kmax_sweep`` (kmax-sweep's parser) the default (R, theta) pairs are
-    checked too, naming Lp, the one field that can bring them within reach.
+def parse_scenario(text: str, command: str | None = None) -> Scenario:
+    """Parse and validate the fields ``command`` reads (READS; all of them with no command).
 
     Raises SchemaError for structural problems (with the offending field
     path) and RangeError for out-of-range values.
     """
-    return _scenario_from_dict(_decode(text), kmax_sweep=kmax_sweep)
+    return _scenario_from_dict(_decode(text), _EVERY_FIELD if command is None else READS[command])
 
 
 def parse_scenarios(text: str) -> list[Scenario]:
     """Parse either a single scenario or {"scenarios": [...]} into a list of channels.
 
-    Beyond parse_scenario, each spacing (the default lambda/2 too) must divide
-    its length, each channel has at most MAX_CHANNEL_ENTRIES entries, and each
-    placement lies beyond the Lp/2 reach of its orientation search.
+    Beyond the fields svd-spectrum reads, each spacing (the default lambda/2
+    too) must divide its length, each channel has at most MAX_CHANNEL_ENTRIES
+    entries, and each placement lies beyond the Lp/2 reach of its search.
     """
     doc = _decode(text)
     if "scenarios" not in doc:
@@ -205,7 +207,7 @@ def parse_scenarios(text: str) -> list[Scenario]:
 
 def _channel_scenario(doc: Mapping, config_id: int = 0, path: str = "") -> Scenario:
     """A scenario whose channel fits MAX_CHANNEL_ENTRIES, checked before any antenna is placed."""
-    sc = _scenario_from_dict(doc, config_id, path)
+    sc = _scenario_from_dict(doc, READS["svd-spectrum"], config_id, path)
     n_tx = _checked(path + "spacing_s", grid_steps, sc.Ls, sc.spacing_s) + 1
     n_rx = _checked(path + "spacing_p", grid_steps, sc.Lp, sc.spacing_p) + 1
     _checked(path + "spacing_p", check_channel_size, n_rx, n_tx)
@@ -213,84 +215,75 @@ def _channel_scenario(doc: Mapping, config_id: int = 0, path: str = "") -> Scena
     return sc
 
 
-def _scenario_from_dict(doc: Mapping, config_id: int = 0, path: str = "", kmax_sweep: bool = False) -> Scenario:
-    lambda_m = _positive(_require(doc, "lambda_m", path), path + "lambda_m")
-    Ls = _positive(_require(doc, "Ls", path), path + "Ls")
-    Lp = _positive(_require(doc, "Lp", path), path + "Lp")
+def _sweep(sdoc: object, path: str) -> SweepSpec:
+    if not isinstance(sdoc, dict):
+        raise SchemaError(f"{path}sweep: expected an object")
+    variable = _require(sdoc, "variable", path + "sweep.")
+    if variable not in ("R",):
+        raise SchemaError(f'{path}sweep.variable: only "R" sweeps are supported, got {variable!r}')
+    start = _positive(_require(sdoc, "start", path + "sweep."), path + "sweep.start")
+    stop = _positive(_require(sdoc, "stop", path + "sweep."), path + "sweep.stop")
+    if stop < start:
+        raise RangeError(f"{path}sweep.stop: {stop} must be >= start {start}")
+    count = _integer(sdoc.get("count", DEFAULT_KMAX_SWEEP.count), path + "sweep.count")
+    return _checked(path + "sweep.count", SweepSpec, str(variable), start, stop, count)
 
-    pdoc = _require(doc, "placement", path)
-    if not isinstance(pdoc, dict):
-        raise SchemaError(f"{path}placement: expected an object")
-    R = _positive(_require(pdoc, "R", path + "placement."), path + "placement.R")
-    theta = _number(_require(pdoc, "theta", path + "placement."), path + "placement.theta")
-    placement = _checked(path + "placement.theta", PolarPlacement, R, theta)  # R > 0 already
-    angles = _open_fan(placement, Ls, path + "placement", path + "placement.theta")
 
-    odoc = doc.get("orientation", "optimal")
-    if odoc == "optimal":
-        orientation = orientation_angles(optimal_orientation(angles))
-        mode = "optimal"
-    elif isinstance(odoc, dict):
-        psi = _number(_require(odoc, "psi", path + "orientation."), path + "orientation.psi")
-        phi = _number(_require(odoc, "phi", path + "orientation."), path + "orientation.phi")
-        orientation = _checked(path + "orientation", OrientationAngles, psi, phi)
-        mode = "explicit"
-    else:
-        raise SchemaError(f'{path}orientation: expected "optimal" or an object, got {odoc!r}')
+def _scenario_from_dict(doc: Mapping, reads: Collection[str], config_id: int = 0, path: str = "") -> Scenario:
+    """The fields in ``reads``, each checked whether written or defaulted; every other field is None."""
+    sc = {f.name: None for f in fields(Scenario)}
+    for key in ("lambda_m", "Ls", "Lp"):
+        if key in reads:
+            sc[key] = _positive(_require(doc, key, path), path + key)
+    Ls, Lp = sc["Ls"], sc["Lp"]
 
-    spacing_s = _spacing(doc, "spacing_s", Ls, path)
-    spacing_p = _spacing(doc, "spacing_p", Lp, path)
-    quad_points = _integer(doc.get("quad_points", DEFAULT_QUAD_POINTS), f"{path}quad_points")
-    _checked(f"{path}quad_points", QuadratureRule, "simpson", quad_points)
+    if "placement" in reads:
+        pdoc = _require(doc, "placement", path)
+        if not isinstance(pdoc, dict):
+            raise SchemaError(f"{path}placement: expected an object")
+        R = _positive(_require(pdoc, "R", path + "placement."), path + "placement.R")
+        theta = _number(_require(pdoc, "theta", path + "placement."), path + "placement.theta")
+        sc["placement"] = _checked(path + "placement.theta", PolarPlacement, R, theta)  # R > 0 already
+        angles = _open_fan(sc["placement"], Ls, path + "placement", path + "placement.theta")
 
-    gdoc = doc.get("grid", list(DEFAULT_SEARCH_GRID))
-    if not isinstance(gdoc, list) or len(gdoc) != 2:
-        raise SchemaError(f"{path}grid: expected [n_psi, n_phi] integers, got {gdoc!r}")
-    grid = tuple(_integer(n, f"{path}grid[{i}]", MIN_SEARCH_AXIS, MAX_GRID) for i, n in enumerate(gdoc))
+    if "orientation" in reads:
+        odoc = doc.get("orientation", "optimal")
+        if odoc == "optimal":
+            sc["orientation"], sc["orientation_mode"] = orientation_angles(optimal_orientation(angles)), "optimal"
+        elif isinstance(odoc, dict):
+            psi = _number(_require(odoc, "psi", path + "orientation."), path + "orientation.psi")
+            phi = _number(_require(odoc, "phi", path + "orientation."), path + "orientation.phi")
+            sc["orientation"] = _checked(path + "orientation", OrientationAngles, psi, phi)
+            sc["orientation_mode"] = "explicit"
+        else:
+            raise SchemaError(f'{path}orientation: expected "optimal" or an object, got {odoc!r}')
 
-    sweep, theta_list = DEFAULT_KMAX_SWEEP, DEFAULT_KMAX_THETAS
-    if "sweep" in doc:
-        sdoc = doc["sweep"]
-        if not isinstance(sdoc, dict):
-            raise SchemaError(f"{path}sweep: expected an object")
-        variable = _require(sdoc, "variable", path + "sweep.")
-        if variable not in ("R",):
-            raise SchemaError(f'{path}sweep.variable: only "R" sweeps are supported, got {variable!r}')
-        start = _positive(_require(sdoc, "start", path + "sweep."), path + "sweep.start")
-        stop = _positive(_require(sdoc, "stop", path + "sweep."), path + "sweep.stop")
-        if stop < start:
-            raise RangeError(f"{path}sweep.stop: {stop} must be >= start {start}")
-        count = _integer(sdoc.get("count", DEFAULT_KMAX_SWEEP.count), path + "sweep.count")
-        sweep = _checked(path + "sweep.count", SweepSpec, str(variable), start, stop, count)
+    for key in ("spacing_s", "spacing_p"):
+        if key in reads:  # parse_scenarios checks that it divides its length
+            sc[key] = _positive(doc.get(key, DEFAULT_SPACING), path + key)
+    if "quad_points" in reads:
+        sc["quad_points"] = _integer(doc.get("quad_points", DEFAULT_QUAD_POINTS), f"{path}quad_points")
+        _checked(f"{path}quad_points", QuadratureRule, "simpson", sc["quad_points"])
+    if "grid" in reads:
+        gdoc = doc.get("grid", list(DEFAULT_SEARCH_GRID))
+        if not isinstance(gdoc, list) or len(gdoc) != 2:
+            raise SchemaError(f"{path}grid: expected [n_psi, n_phi] integers, got {gdoc!r}")
+        sc["grid"] = tuple(_integer(n, f"{path}grid[{i}]", MIN_SEARCH_AXIS, MAX_GRID) for i, n in enumerate(gdoc))
 
-    if "theta_list" in doc:
-        tdoc = doc["theta_list"]
+    if "sweep" in reads and "theta_list" in reads:  # the (R, theta) pairs of kmax-sweep
+        sweep = sc["sweep"] = _sweep(doc["sweep"], path) if "sweep" in doc else DEFAULT_KMAX_SWEEP
+        tdoc = doc.get("theta_list", list(DEFAULT_KMAX_THETAS))
         if not isinstance(tdoc, list) or not tdoc:
             raise SchemaError(f"{path}theta_list: expected a non-empty array")
-        theta_list = tuple(_number(t, f"{path}theta_list[{i}]") for i, t in enumerate(tdoc))
-    written = "sweep" in doc or "theta_list" in doc
-    if written or kmax_sweep:  # as for a spacing, only a written pair is checked, except for kmax-sweep
-        r_fields = (path + "sweep.start", path + "sweep.stop") if written else (path + "Lp",) * 2
-        for j, (R, theta) in enumerate(_checked(path + "theta_list", kmax_pairs, sweep, theta_list)):
-            tilt = f"{path}theta_list[{j % len(theta_list)}]"  # blamed at theta = pi/2 or with no sweep
-            near, far = (tilt, tilt) if theta == 0.5 * math.pi or written and "sweep" not in doc else r_fields
+        thetas = sc["theta_list"] = tuple(_number(t, f"{path}theta_list[{i}]") for i, t in enumerate(tdoc))
+        r_fields = (path + "sweep.start", path + "sweep.stop") if "sweep" in doc else (path + "Lp",) * 2
+        tilt_only = "theta_list" in doc and "sweep" not in doc
+        for j, (R, theta) in enumerate(_checked(path + "theta_list", kmax_pairs, sweep, thetas)):
+            tilt = f"{path}theta_list[{j % len(thetas)}]"  # blamed at theta = pi/2 or with no sweep written
+            near, far = (tilt, tilt) if theta == 0.5 * math.pi or tilt_only else r_fields
             _open_fan(_checked(tilt, PolarPlacement, R, theta), Ls, near, far, 0.5 * Lp)
 
-    return Scenario(
-        lambda_m=lambda_m,
-        Ls=Ls,
-        Lp=Lp,
-        placement=placement,
-        orientation=orientation,
-        orientation_mode=mode,
-        spacing_s=spacing_s,
-        spacing_p=spacing_p,
-        quad_points=quad_points,
-        grid=grid,
-        sweep=sweep,
-        theta_list=theta_list,
-        config_id=config_id,
-    )
+    return Scenario(**dict(sc, config_id=config_id))
 
 
 @dataclass

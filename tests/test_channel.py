@@ -343,6 +343,16 @@ class TestEdof:
         with pytest.raises(AllZeroSpectrum):
             edof_quadratic(self._spectrum([0.0, 0.0]))
 
+    @pytest.mark.parametrize("scale", [1e100, 1e-100, 1e-170, 1e300, 1e-300])
+    def test_quadratic_does_not_depend_on_the_scale(self, scale):
+        # sum s^2 and sum s^4 of the values overflow or underflow at these scales
+        rng = np.random.default_rng(7)
+        entries = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+        s = np.linalg.svd(entries, compute_uv=False)
+        want = np.sum(s**2) ** 2 / np.sum(s**4)
+        got = edof_quadratic(singular_spectrum(ChannelMatrix(entries=entries * scale, lambda_m=0.01)))
+        assert got == pytest.approx(want, rel=1e-12)
+
 
 class TestPipelineProperties:
     def test_amplitude_scale_invariance(self):

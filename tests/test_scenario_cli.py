@@ -33,6 +33,7 @@ from nfdof.scenario import (
     DEFAULT_KMAX_THETAS,
     MAX_KMAX_PAIRS,
     MAX_SWEEP_COUNT,
+    READS,
     SweepSpec,
     SweepTable,
     sha256_of,
@@ -238,22 +239,26 @@ class TestFieldChecks:
             parse_scenario(scenario_text(**overrides))
 
     @pytest.mark.parametrize(
-        "overrides, message",
+        "overrides, message, command",
         [
-            ({"placement": {"R": 500, "theta": -0.1}}, "placement.theta: theta must lie in [0, pi/2], got -0.1"),
-            ({"placement": {"R": 500, "theta": 1.6}}, "placement.theta: theta must lie in [0, pi/2], got 1.6"),
-            ({"orientation": {"psi": 3.2, "phi": 1.0}}, "orientation: psi must lie in [0, pi], got 3.2"),
-            ({"orientation": {"psi": 1.0, "phi": -0.5}}, "orientation: phi must lie in [0, pi], got -0.5"),
+            ({"placement": {"R": 500, "theta": -0.1}}, "placement.theta: theta must lie in [0, pi/2], got -0.1",
+             "localbw-sweep"),
+            ({"placement": {"R": 500, "theta": 1.6}}, "placement.theta: theta must lie in [0, pi/2], got 1.6",
+             "localbw-sweep"),
+            ({"orientation": {"psi": 3.2, "phi": 1.0}}, "orientation: psi must lie in [0, pi], got 3.2",
+             "svd-spectrum"),
+            ({"orientation": {"psi": 1.0, "phi": -0.5}}, "orientation: phi must lie in [0, pi], got -0.5",
+             "svd-spectrum"),
         ],
     )
-    def test_angle_out_of_range_names_field(self, overrides, message, tmp_path, capsys):
+    def test_angle_out_of_range_names_field(self, overrides, message, command, tmp_path, capsys):
         # the type checks the range once; the parser adds the field path and main exits 2
         with pytest.raises(RangeError) as exc:
             parse_scenario(scenario_text(**overrides))
         assert str(exc.value) == message
         cfg = tmp_path / "s.json"
         cfg.write_text(scenario_text(**overrides))
-        assert main(["localbw-sweep", "--config", str(cfg)]) == 2
+        assert main([command, "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == f"nfdof: error: {message}\n"
 
     @pytest.mark.parametrize("count, n_thetas", [(MAX_SWEEP_COUNT, 200_000), (MAX_SWEEP_COUNT, 4), (7501, 4)])
@@ -291,7 +296,7 @@ class TestFieldChecks:
     @pytest.mark.parametrize("key, length", [("spacing_p", "Lp"), ("spacing_s", "Ls")])
     def test_spacing_that_does_not_divide_its_length_names_field(self, key, length):
         with pytest.raises(RangeError, match=rf"^{key}: length 100.0 is not an integer multiple"):
-            parse_scenario(scenario_text(**{key: 0.3}))
+            parse_scenarios(scenario_text(**{key: 0.3}))
         text = json.dumps({"scenarios": [dict(MINIMAL, **{length: 90, key: 0.5}), dict(MINIMAL, **{key: 0.3})]})
         with pytest.raises(RangeError, match=rf"^scenarios\[1\]\.{key}: "):
             parse_scenarios(text)
@@ -299,7 +304,7 @@ class TestFieldChecks:
     @pytest.mark.parametrize("spacing", [1e-3, 5e-324])
     def test_spacing_with_too_many_antennas_names_field(self, spacing):
         with pytest.raises(RangeError, match="^spacing_s: .*steps"):
-            parse_scenario(scenario_text(spacing_s=spacing))
+            parse_scenarios(scenario_text(spacing_s=spacing))
 
     def test_searched_placement_within_reach_names_field(self):
         # svd-spectrum searches each placement: at R = Lp/2 the array's end could touch the segment
@@ -341,8 +346,8 @@ class TestFieldChecks:
         text = json.dumps({"scenarios": [MINIMAL, dict(MINIMAL, **overrides)]})
         with pytest.raises(RangeError, match=rf"^scenarios\[1\]\.spacing_p: {counts} antennas"):
             parse_scenarios(text)
-        # sweeps and maps build no channel
-        assert parse_scenario(scenario_text(**overrides)).Lp == overrides["Lp"]
+        # maps build no channel
+        assert parse_scenario(scenario_text(**overrides), "maxbw-map").Ls == overrides["Ls"]
 
 
 JSON_VALUES = st.recursive(
@@ -689,6 +694,78 @@ class TestLibraryCaps:
             run_validation(seed=0, n_cases=n_cases)
 
 
+# a value each field refuses, for the subcommands that do not read the field
+BAD_FIELDS = {
+    "lambda_m": -1,
+    "Lp": -1,
+    "placement": "x",
+    "orientation": "sideways",
+    "spacing_s": 0.3,
+    "spacing_p": 0.3,
+    "quad_points": 128,
+    "grid": [4, 64],
+    "sweep": sweep(0),
+    "theta_list": [3.5],
+}
+UNREAD = [(command, key) for command in READS for key in BAD_FIELDS if key not in READS[command]]
+# small enough that every job runs in full
+SMALL = dict(MINIMAL, Ls=16, Lp=16, placement={"R": 60, "theta": 0.3}, orientation={"psi": 1.0, "phi": 2.0},
+             grid=[8, 8], quad_points=3, sweep={"variable": "R", "start": 60, "stop": 80, "count": 2},
+             theta_list=[0.0, 0.3])
+
+
+def _csv_body(argv, config, out):
+    """Exit code and CSV body (comment header dropped; None on failure) of one run of ``argv`` on ``config``."""
+    import nfdof.cli as cli_mod
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name, stub in _fast_searches_and_channels().items():
+            mp.setattr(cli_mod, name, stub)
+        rc = main(argv + ["--config", str(config), "--out", str(out)])
+    return rc, [line for line in out.read_text().splitlines() if not line.startswith("#")] if rc == 0 else None
+
+
+class TestReads:
+    """Each subcommand parses, requires and checks the fields READS names, and no other."""
+
+    @pytest.mark.parametrize("argv", CONFIG_COMMANDS, ids=lambda argv: argv[0])
+    def test_document_of_the_read_fields_alone_runs(self, tmp_path, argv):
+        cfg = tmp_path / "s.json"
+        cfg.write_text(json.dumps({k: v for k, v in FULL.items() if k in READS[argv[0]]}))
+        rc, body = _csv_body(argv, cfg, tmp_path / "out.csv")
+        assert rc == 0 and len(body) > 1
+
+    @pytest.mark.parametrize("command, key", UNREAD)
+    def test_bad_unread_field_changes_nothing(self, tmp_path, command, key):
+        (argv,) = [argv for argv in CONFIG_COMMANDS if argv[0] == command]
+        cfg = tmp_path / "s.json"
+        cfg.write_text(json.dumps(FULL))
+        want = _csv_body(argv, cfg, tmp_path / "want.csv")
+        cfg.write_text(json.dumps(dict(FULL, **{key: BAD_FIELDS[key]})))
+        assert _csv_body(argv, cfg, tmp_path / "got.csv") == want
+        assert want[0] == 0
+        # a subcommand that reads the field refuses the value
+        reader = next(argv for argv in CONFIG_COMMANDS if key in READS[argv[0]])
+        assert _csv_body(reader, cfg, tmp_path / "refused.csv") == (2, None)
+
+    @pytest.mark.parametrize("command", list(READS))
+    def test_job_reads_no_field_beyond_its_reads(self, command):
+        text = json.dumps(SMALL)
+        partial = parse_scenarios(text) if command == "svd-spectrum" else [parse_scenario(text, command)]
+        full = [parse_scenario(text)]
+        unread = set().union(*READS.values()) - set(READS[command])
+        assert all(getattr(sc, f) is None for sc in partial for f in unread)
+        job = {
+            "localbw-sweep": lambda scs: cmd_localbw_sweep(scs[0], n_points=5),
+            "maxbw-map": lambda scs: cmd_maxbw_map(scs[0], extent=100.0, n_points=5),
+            "kmax-sweep": lambda scs: cmd_kmax_sweep(scs[0]),
+            "svd-spectrum": cmd_svd_spectrum,
+        }[command]
+        got, want = job(partial), job(full)
+        assert (got.columns, got.notes) == (want.columns, want.notes)
+        assert got.rows.tobytes() == want.rows.tobytes()
+
+
 class TestCliMain:
     def test_localbw_end_to_end(self, tmp_path, capsys):
         cfg = tmp_path / "s.json"
@@ -735,7 +812,7 @@ class TestCliMain:
     def test_placement_on_segment_exit_code(self, tmp_path, capsys, placement):
         cfg = tmp_path / "on.json"
         cfg.write_text(scenario_text(placement=placement))
-        assert main(["maxbw-map", "--config", str(cfg), "--grid", "9"]) == 2
+        assert main(["localbw-sweep", "--config", str(cfg), "--grid", "9"]) == 2
         assert capsys.readouterr().err.startswith("nfdof: error: placement: ")
 
     def test_non_finite_config_exit_code(self, tmp_path, capsys):
