@@ -55,7 +55,6 @@ class ChannelMatrix:
     """Dense complex LoS gain matrix, receive antennas on rows."""
 
     entries: np.ndarray  # (n_rx, n_tx) complex
-    lambda_m: float  # physical wavelength in meters; amplitude bookkeeping only
 
 
 @dataclass(frozen=True)
@@ -96,15 +95,13 @@ def check_channel_size(n_rx: int, n_tx: int) -> None:
         raise ValueError(f"{n_rx} x {n_tx} antennas exceed {MAX_CHANNEL_ENTRIES} entries")
 
 
-def los_channel(tx: AntennaGrid, rx: AntennaGrid, lambda_m: float) -> ChannelMatrix:
+def los_channel(tx: AntennaGrid, rx: AntennaGrid) -> ChannelMatrix:
     """Spherical-wave LoS channel between two antenna grids.
 
     The phase 2*pi*r is computed from the fractional part of r (in
     wavelengths) so that no precision is lost at large link distances.
     The size is checked before any array is allocated.
     """
-    if lambda_m <= 0.0:
-        raise ValueError(f"lambda_m must be positive, got {lambda_m}")
     check_channel_size(len(rx.positions), len(tx.positions))
     diff = rx.positions[:, None, :] - tx.positions[None, :, :]
     r = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
@@ -112,7 +109,7 @@ def los_channel(tx: AntennaGrid, rx: AntennaGrid, lambda_m: float) -> ChannelMat
         raise CoincidentAntennas("a transmit and a receive antenna coincide")
     phase = 2.0 * math.pi * (r - np.floor(r))
     entries = np.exp(1j * phase) / (4.0 * math.pi * r)
-    return ChannelMatrix(entries=entries, lambda_m=lambda_m)
+    return ChannelMatrix(entries=entries)
 
 
 def singular_spectrum(H: ChannelMatrix) -> SingularSpectrum:

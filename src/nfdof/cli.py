@@ -57,6 +57,13 @@ def _check_axis_points(n_points: int) -> None:
         raise ValueError(f"need 2 to {MAX_AXIS_POINTS} points per axis, got {n_points}")
 
 
+def _map_extent(extent: float, path: str = "extent") -> float:
+    """A positive map half-width whose window width 2 * extent is finite, as np.linspace needs."""
+    if not math.isfinite(2.0 * _positive(extent, path)):
+        raise ValueError(f"{path}: window width 2 * {extent:g} is not finite")
+    return extent
+
+
 def _tensor_rows(a: Sequence[float], b: Sequence[float], *values: object) -> np.ndarray:
     """Rows (a[i], b[j], v[i, j] for v in values), a the outer axis."""
     aa, bb = np.meshgrid(a, b, indexing="ij")
@@ -92,6 +99,7 @@ def cmd_maxbw_map(
     Points inside the degeneracy band around the transmit segment emit the
     limiting value 2.0 (the fan opens to a half turn on the segment).
     """
+    _map_extent(extent)
     _check_axis_points(n_points)
     half = 0.5 * scenario.Ls
     ys = np.linspace(-extent, extent, n_points)
@@ -146,7 +154,7 @@ def cmd_svd_spectrum(scenarios: Sequence[Scenario], tau: float = DEFAULT_TAU) ->
         receiver = ArraySegment(sc.placement.point(), sc.orientation_vector(), sc.Lp)
         tx = antenna_grid(ArraySegment((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), sc.Ls), sc.spacing_s)
         rx = antenna_grid(receiver, sc.spacing_p)
-        H = los_channel(tx, rx, sc.lambda_m)
+        H = los_channel(tx, rx)
         spectrum = singular_spectrum(H)
         ak = k_number_center(receiver, sc.Ls).value
         ek = maximize_k(
@@ -209,8 +217,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--grid", type=axis_points, default=DEFAULT_MAP_POINTS,
                    help="points per map axis (default %(default)s)")
-    p.add_argument("--extent", type=_option(float, _positive), default=DEFAULT_MAP_EXTENT,
-                   help="half-width of the map window in wavelengths (default %(default)s)")
+    p.add_argument("--extent", type=_option(float, _map_extent), default=DEFAULT_MAP_EXTENT,
+                   help="half-width of the map window in wavelengths, 2 * extent finite (default %(default)s)")
 
     p = sub.add_parser("kmax-sweep", help="AK and EK over an (R, theta) sweep")
     add_common(p)

@@ -105,24 +105,21 @@ class CanonicalTransform:
     apply_direction = apply_point
 
 
-def canonicalize(
-    p: Sequence[float], v: Sequence[float], Ls: float = 0.0
-) -> tuple[PolarPlacement, Vec3, CanonicalTransform]:
+def canonicalize(p: Sequence[float], v: Sequence[float]) -> tuple[PolarPlacement, Vec3, CanonicalTransform]:
     """Reduce an arbitrary placement to the canonical yOz first quadrant.
 
     Parameters
     ----------
     p : observation point (wavelengths).
     v : receive-array direction (normalized on input).
-    Ls : transmit-segment length; when positive, the placement goes through
-        the segment test of ``geometry_angles``; without it none is made.
 
     Returns
     -------
     (placement, direction, transform) where ``placement`` has x = 0,
     y >= 0, z >= 0, ``direction`` is ``v`` mapped by the same transform,
     and ``transform`` applied to the inputs reproduces the outputs.
-    The local spatial bandwidth is invariant under this reduction.
+    The local spatial bandwidth is invariant under this reduction.  No
+    segment test is made here; ``geometry_angles`` of the placement makes it.
     """
     x, y, z = float(p[0]), float(p[1]), float(p[2])
     vx, vy, vz = unit(v)
@@ -146,8 +143,6 @@ def canonicalize(
         vz = -vz
 
     placement = PolarPlacement(R=R, theta=math.atan2(z_c, y_c))
-    if Ls > 0.0:
-        geometry_angles(placement, Ls)
     return placement, (vx, vy, vz), CanonicalTransform(rot, mirror)
 
 

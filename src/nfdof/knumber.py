@@ -48,7 +48,7 @@ def k_number_numeric(
     receiver: ArraySegment, Ls: float, quad_points: int = DEFAULT_QUAD_POINTS
 ) -> KNumber:
     """Quadrature K number: integrate the closed-form bandwidth along the receiver."""
-    rule = QuadratureRule("simpson", quad_points)
+    rule = QuadratureRule(quad_points)
     cx, cy, cz = receiver.center
     dx, dy, dz = receiver.direction
     v = receiver.direction

@@ -18,25 +18,19 @@ MAX_QUAD_POINTS = 10_001  # most nodes: caps the sample list that integrate buil
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Composite rule over equispaced nodes; Simpson needs an odd node count."""
+    """Composite Simpson rule over an odd number of equispaced nodes."""
 
-    kind: str  # "trapezoid" or "simpson"
     nodes: int
 
     def __post_init__(self) -> None:
-        if self.kind not in ("trapezoid", "simpson"):
-            raise InvalidRule(f"unknown rule kind {self.kind!r}")
         if not MIN_NODES <= self.nodes <= MAX_QUAD_POINTS:
             raise InvalidRule(f"need {MIN_NODES} to {MAX_QUAD_POINTS} nodes, got {self.nodes}")
-        if self.kind == "simpson" and self.nodes % 2 == 0:
+        if self.nodes % 2 == 0:
             raise InvalidRule(f"composite Simpson needs an odd node count, got {self.nodes}")
 
 
 def integrate(f: Callable[[float], float], a: float, b: float, rule: QuadratureRule) -> float:
-    """Composite trapezoid/Simpson estimate of the integral of f over [a, b].
-
-    Exact for polynomials of degree <= 1 (trapezoid) or <= 3 (Simpson).
-    """
+    """Composite Simpson estimate of the integral of f over [a, b]; exact for cubics."""
     if a > b:
         raise ValueError(f"need a <= b, got a={a}, b={b}")
     if a == b:
@@ -45,9 +39,6 @@ def integrate(f: Callable[[float], float], a: float, b: float, rule: QuadratureR
     h = (b - a) / (n - 1)
     ys = [f(a + i * h) for i in range(n)]
     ys[-1] = f(b)  # avoid drift at the right endpoint
-    if rule.kind == "trapezoid":
-        total = 0.5 * (ys[0] + ys[-1]) + sum(ys[1:-1])
-        return h * total
     total = ys[0] + ys[-1] + 4.0 * sum(ys[1:-1:2]) + 2.0 * sum(ys[2:-1:2])
     return h * total / 3.0
 

@@ -4,7 +4,6 @@ A scenario is a JSON object with lengths in wavelengths and angles in
 radians:
 
     {
-      "lambda_m": 0.01,
       "Ls": 100, "Lp": 100,
       "placement": {"R": 500, "theta": 0},
       "orientation": "optimal",            // or {"psi": ..., "phi": ...}
@@ -17,19 +16,21 @@ radians:
 
 READS names the fields each subcommand reads.  parse_scenario(text, command)
 requires and checks those alone, each by one set of checks whether written or
-defaulted; a field the subcommand does not read is ignored, and its Scenario
-attribute is None.  Of the fields read, only lambda_m, Ls, Lp and placement
-are required.  "optimal" resolves to the bandwidth-maximizing receive
-direction for the given placement, which must lie neither on the transmit
-segment nor on its axis.  QuadratureRule, maximize_k and SweepSpec own these
-caps, and PolarPlacement and OrientationAngles the angle ranges; each refuses
-the same values when called directly, and the parser only adds the field
-name.  The at most MAX_KMAX_PAIRS (R, theta) pairs of kmax-sweep are checked
-for a K number and for the Lp/2 reach that maximize_k refuses.
-parse_scenarios, the parser of svd-spectrum, which places antennas, adds the
-channel checks: each spacing divides its length, the channel has at most
-MAX_CHANNEL_ENTRIES entries, and the placement lies beyond the Lp/2 reach of
-its search.  _open_fan alone names a geometry error's field.
+defaulted; a field the subcommand does not read (such as the "lambda_m" of
+older documents: lengths in wavelengths need no physical wavelength) is
+ignored, and its Scenario attribute is None.  Of the fields read, only Ls, Lp
+and placement are required.  "optimal" resolves to the bandwidth-maximizing
+receive direction for the given placement, which must lie neither on the
+transmit segment nor on its axis.  QuadratureRule, maximize_k and SweepSpec
+own these caps (a one-value sweep has stop == start), and PolarPlacement and
+OrientationAngles the angle ranges; each refuses the same values when called
+directly, and the parser only adds the field name.  The at most MAX_KMAX_PAIRS
+(R, theta) pairs of kmax-sweep are checked for a K number and for the Lp/2
+reach that maximize_k refuses.  parse_scenarios, the parser of svd-spectrum,
+which places antennas, adds the channel checks: each spacing divides its
+length, the channel has at most MAX_CHANNEL_ENTRIES entries, and the placement
+lies beyond the Lp/2 reach of its search.  _open_fan alone names a geometry
+error's field.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ READS = {  # the document fields each subcommand reads, and so requires and chec
     "maxbw-map": ("Ls",),
     "kmax-sweep": ("Ls", "Lp", "quad_points", "grid", "sweep", "theta_list"),
     "svd-spectrum": (
-        "lambda_m", "Ls", "Lp", "placement", "orientation", "spacing_s", "spacing_p", "quad_points", "grid"
+        "Ls", "Lp", "placement", "orientation", "spacing_s", "spacing_p", "quad_points", "grid"
     ),
 }
 _EVERY_FIELD = frozenset().union(*READS.values())
@@ -75,6 +76,8 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not 1 <= self.count <= MAX_SWEEP_COUNT:
             raise ValueError(f"sweep count must lie in [1, {MAX_SWEEP_COUNT}], got {self.count}")
+        if self.count == 1 and self.stop != self.start:
+            raise ValueError(f"a sweep of count 1 needs stop == start, got {self.start} to {self.stop}")
 
     def values(self) -> np.ndarray:
         """``count`` values from start to stop, both exact."""
@@ -96,12 +99,10 @@ def kmax_pairs(sweep: SweepSpec, thetas: Sequence[float]) -> list[tuple[float, f
 class Scenario:
     """A parsed scenario document; a field the parsing subcommand does not read (READS) is None."""
 
-    lambda_m: float
     Ls: float
     Lp: float
     placement: PolarPlacement
     orientation: OrientationAngles
-    orientation_mode: str  # "optimal" or "explicit"
     spacing_s: float = DEFAULT_SPACING
     spacing_p: float = DEFAULT_SPACING
     quad_points: int = DEFAULT_QUAD_POINTS
@@ -232,7 +233,7 @@ def _sweep(sdoc: object, path: str) -> SweepSpec:
 def _scenario_from_dict(doc: Mapping, reads: Collection[str], config_id: int = 0, path: str = "") -> Scenario:
     """The fields in ``reads``, each checked whether written or defaulted; every other field is None."""
     sc = {f.name: None for f in fields(Scenario)}
-    for key in ("lambda_m", "Ls", "Lp"):
+    for key in ("Ls", "Lp"):
         if key in reads:
             sc[key] = _positive(_require(doc, key, path), path + key)
     Ls, Lp = sc["Ls"], sc["Lp"]
@@ -249,12 +250,11 @@ def _scenario_from_dict(doc: Mapping, reads: Collection[str], config_id: int = 0
     if "orientation" in reads:
         odoc = doc.get("orientation", "optimal")
         if odoc == "optimal":
-            sc["orientation"], sc["orientation_mode"] = orientation_angles(optimal_orientation(angles)), "optimal"
+            sc["orientation"] = orientation_angles(optimal_orientation(angles))
         elif isinstance(odoc, dict):
             psi = _number(_require(odoc, "psi", path + "orientation."), path + "orientation.psi")
             phi = _number(_require(odoc, "phi", path + "orientation."), path + "orientation.phi")
             sc["orientation"] = _checked(path + "orientation", OrientationAngles, psi, phi)
-            sc["orientation_mode"] = "explicit"
         else:
             raise SchemaError(f'{path}orientation: expected "optimal" or an object, got {odoc!r}')
 
@@ -263,7 +263,7 @@ def _scenario_from_dict(doc: Mapping, reads: Collection[str], config_id: int = 0
             sc[key] = _positive(doc.get(key, DEFAULT_SPACING), path + key)
     if "quad_points" in reads:
         sc["quad_points"] = _integer(doc.get("quad_points", DEFAULT_QUAD_POINTS), f"{path}quad_points")
-        _checked(f"{path}quad_points", QuadratureRule, "simpson", sc["quad_points"])
+        _checked(f"{path}quad_points", QuadratureRule, sc["quad_points"])
     if "grid" in reads:
         gdoc = doc.get("grid", list(DEFAULT_SEARCH_GRID))
         if not isinstance(gdoc, list) or len(gdoc) != 2:

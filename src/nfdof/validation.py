@@ -2,8 +2,7 @@
 
 Each check draws seeded random configurations, compares two independent
 computation routes, and reports the worst deviation.  The harness backs
-the ``nfdof validate`` subcommand; ``corruption`` is a test hook that
-biases the closed-form values so the harness itself can be checked.
+the ``nfdof validate`` subcommand.
 """
 
 from __future__ import annotations
@@ -33,6 +32,8 @@ from .geometry import (
 ROUNDOFF_FLOOR = 1e-9 * K0
 LS = 100.0  # transmit-segment length of every check
 MAX_CASES = 10_000  # the angle and continuity checks run 50 times as many
+MAXIMUM_GRID = 501  # (psi, phi') points per axis of the orientation-maximum check
+PERIODICITY_GRID = 41  # (psi, phi) points per axis of the periodicity check
 
 
 @dataclass(frozen=True)
@@ -80,14 +81,14 @@ def _random_config(rng: np.random.Generator):
     return p, OrientationAngles(psi, phi).vector()
 
 
-def check_closed_vs_oracle(seed: int, n_cases: int, corruption: float = 0.0) -> CheckResult:
+def check_closed_vs_oracle(seed: int, n_cases: int) -> CheckResult:
     """Closed form against the definition-level discretization, each case within its own bound."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     tol = 0.0
     for _ in range(n_cases):
         p, v = _random_config(rng)
-        closed = local_bandwidth_closed(p, v, LS) + corruption
+        closed = local_bandwidth_closed(p, v, LS)
         oracle = local_bandwidth_oracle(p, v, LS, DEFAULT_ORACLE_SAMPLES)
         alpha = geometry_angles(canonicalize(p, v)[0], LS).alpha
         bound = 2.0 * K0 * alpha / DEFAULT_ORACLE_SAMPLES + ROUNDOFF_FLOOR
@@ -121,13 +122,12 @@ def _arrival_direction(P, z_src: float) -> tuple[float, float]:
     return dy / n, dz / n
 
 
-def check_orientation_maximum(seed: int, n_cases: int, grid_n: int = 501) -> CheckResult:
+def check_orientation_maximum(seed: int, n_cases: int) -> CheckResult:
     """Grid maximum of the closed form against 2*K0*sin(alpha/2)."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    psis = np.linspace(0.0, math.pi, grid_n)
-    phis = np.linspace(0.0, math.pi, grid_n)
-    h = math.pi / (grid_n - 1)
+    psis = phis = np.linspace(0.0, math.pi, MAXIMUM_GRID)
+    h = math.pi / (MAXIMUM_GRID - 1)
     tol = K0 * h * h + ROUNDOFF_FLOOR  # quadratic dip of the max between grid nodes
     for _ in range(n_cases):
         alpha = geometry_angles(_random_placement(rng, 0.5 * math.pi * 0.98), LS).alpha
@@ -160,12 +160,11 @@ def check_branch_continuity(seed: int, n_cases: int) -> CheckResult:
     return _result("branch continuity at the seams", n_cases, worst, 1e-12)
 
 
-def check_periodicity(seed: int, n_cases: int, grid_n: int = 41) -> CheckResult:
+def check_periodicity(seed: int, n_cases: int) -> CheckResult:
     """Bandwidth must be unchanged under phi -> phi + pi (opposite projection)."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    psis = np.linspace(0.0, math.pi, grid_n)
-    phis = np.linspace(0.0, math.pi, grid_n)
+    psis = phis = np.linspace(0.0, math.pi, PERIODICITY_GRID)
     for _ in range(n_cases):
         p = _random_placement(rng, 0.5 * math.pi * 0.98).point()
         for psi in psis:
@@ -180,12 +179,12 @@ def check_periodicity(seed: int, n_cases: int, grid_n: int = 41) -> CheckResult:
     return _result("periodicity under phi + pi", n_cases, worst, 1e-12)
 
 
-def run_validation(seed: int, n_cases: int, corruption: float = 0.0) -> ValidationReport:
+def run_validation(seed: int, n_cases: int) -> ValidationReport:
     """Run every check; ``n_cases`` (0 to MAX_CASES) scales the sampling effort of each."""
     if not 0 <= n_cases <= MAX_CASES:
         raise ValueError(f"need 0 to {MAX_CASES} cases, got {n_cases}")
     results = [
-        check_closed_vs_oracle(seed, n_cases, corruption=corruption),
+        check_closed_vs_oracle(seed, n_cases),
         check_angles(seed + 1, 50 * n_cases),
         check_orientation_maximum(seed + 2, max(0, min(n_cases, 50))),
         check_branch_continuity(seed + 3, 50 * n_cases),

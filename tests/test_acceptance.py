@@ -226,7 +226,7 @@ def spectra():
         spectra_by_spacing = {}
         for spacing in (0.5, 0.25):
             rx = antenna_grid(ArraySegment(placement.point(), v, LP), spacing)
-            H = los_channel(tx[spacing], rx, LAMBDA_M)
+            H = los_channel(tx[spacing], rx)
             spectra_by_spacing[spacing] = singular_spectrum(H)
             svd_reference[theta, spacing] = np.linalg.svd(H.entries, compute_uv=False)
         out[theta] = (res.best_k.value, spectra_by_spacing)
@@ -303,7 +303,7 @@ def test_criterion_6_orientation_sweeps():
         seg = ArraySegment(placement.point(), v, LP)
         ak = k_number_center(seg, LS).value
         rx = antenna_grid(seg, 0.5)
-        s = singular_spectrum(los_channel(tx, rx, LAMBDA_M))
+        s = singular_spectrum(los_channel(tx, rx))
         return ak, edof_threshold(s, 0.1)
 
     sweep_points = np.linspace(0.0, 0.5 * math.pi, 7)
@@ -351,7 +351,7 @@ def test_criterion_7_numerics_kernels():
 
     errors = []
     for nodes in (9, 17, 33, 65):
-        val = integrate(math.sin, 0.0, math.pi, QuadratureRule("simpson", nodes))
+        val = integrate(math.sin, 0.0, math.pi, QuadratureRule(nodes))
         errors.append(abs(val - 2.0))
     order = min(math.log2(a / b) for a, b in zip(errors, errors[1:]))
 
@@ -360,7 +360,7 @@ def test_criterion_7_numerics_kernels():
     worst_svd = 0.0
     for _ in range(10):
         A = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        ours = singular_spectrum(ChannelMatrix(entries=A, lambda_m=LAMBDA_M)).values
+        ours = singular_spectrum(ChannelMatrix(entries=A)).values
         ref = np.linalg.svd(A, compute_uv=False)
         worst_svd = max(worst_svd, float(np.abs(ours - ref).max() / ref[0]))
 

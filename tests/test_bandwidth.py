@@ -171,7 +171,7 @@ class TestClosedForm:
             p, v = random_case(rng)
             closed = local_bandwidth_closed(p, v, LS)
             oracle = local_bandwidth_oracle(p, v, LS, n)
-            placement, _, _ = canonicalize(p, v, Ls=LS)
+            placement, _, _ = canonicalize(p, v)
             alpha = geometry_angles(placement, LS).alpha
             assert abs(closed - oracle) <= 2.0 * K0 * alpha / n + 1e-9
 
@@ -459,7 +459,7 @@ class TestOrientationRecovery:
         with mpmath.workdps(40):
             vx, vy, vz = (mpmath.mpf(c) for c in v)
             psi_ref = mpmath.atan2(mpmath.hypot(vy, vz), vx)
-        ang = geometry_angles(canonicalize(p, v, LS)[0], LS)
+        ang = geometry_angles(canonicalize(p, v)[0], LS)
         phi_prime = reduce_phi_prime(math.atan2(v[2], v[1]), ang.beta)
         omega_ref = omega_mpmath(psi_ref, phi_prime, ang.alpha)
         bound = 1e-13 + 2.0 * math.ulp(psi) / min(psi, math.pi - psi)

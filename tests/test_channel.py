@@ -35,7 +35,7 @@ def build_channel(R, theta, Ls, Lp, spacing, v=None):
         v = optimal_orientation(geometry_angles(placement, Ls))
     tx = antenna_grid(tx_segment(Ls), spacing)
     rx = antenna_grid(ArraySegment(placement.point(), v, Lp), spacing)
-    return los_channel(tx, rx, 0.01)
+    return los_channel(tx, rx)
 
 
 class TestAntennaGrid:
@@ -74,7 +74,7 @@ class TestLosChannel:
     def test_one_wavelength_distance(self):
         tx = antenna_grid(tx_segment(0.0), 0.5)
         rx = antenna_grid(ArraySegment((0.0, 1.0, 0.0), Z_AXIS, 0.0), 0.5)
-        H = los_channel(tx, rx, 0.01)
+        H = los_channel(tx, rx)
         h = H.entries[0, 0]
         assert abs(h) == pytest.approx(1.0 / (4.0 * math.pi))
         assert np.angle(h) == pytest.approx(0.0, abs=1e-12)
@@ -82,14 +82,14 @@ class TestLosChannel:
     def test_far_single_pair(self):
         tx = antenna_grid(tx_segment(0.0), 0.5)
         rx = antenna_grid(ArraySegment((0.0, 500.0, 0.0), Z_AXIS, 0.0), 0.5)
-        H = los_channel(tx, rx, 0.01)
+        H = los_channel(tx, rx)
         assert abs(H.entries[0, 0]) == pytest.approx(1.0 / (4.0 * math.pi * 500.0))
         assert np.angle(H.entries[0, 0]) == pytest.approx(0.0, abs=1e-9)
 
     def test_quarter_wave_phase(self):
         tx = antenna_grid(tx_segment(0.0), 0.5)
         rx = antenna_grid(ArraySegment((0.0, 500.25, 0.0), Z_AXIS, 0.0), 0.5)
-        H = los_channel(tx, rx, 0.01)
+        H = los_channel(tx, rx)
         assert np.angle(H.entries[0, 0]) == pytest.approx(0.5 * math.pi, abs=1e-9)
 
     def test_shape_and_finiteness(self):
@@ -102,7 +102,7 @@ class TestLosChannel:
         tx = antenna_grid(tx_segment(2.0), 0.5)
         rx = antenna_grid(ArraySegment((0.0, 0.0, 0.0), (0.0, 1.0, 0.0), 2.0), 0.5)
         with pytest.raises(CoincidentAntennas):
-            los_channel(tx, rx, 0.01)
+            los_channel(tx, rx)
 
     def test_size_cap_checked_before_any_distance(self, monkeypatch):
         import nfdof.channel as channel_mod
@@ -112,15 +112,15 @@ class TestLosChannel:
         monkeypatch.setattr(channel_mod, "MAX_CHANNEL_ENTRIES", 14)
         # the grids share an antenna, so getting past the cap would raise CoincidentAntennas
         with pytest.raises(ValueError, match=r"^3 x 5 antennas exceed 14 entries$"):
-            los_channel(tx, rx, 0.01)
+            los_channel(tx, rx)
         monkeypatch.setattr(channel_mod, "MAX_CHANNEL_ENTRIES", 15)
         with pytest.raises(CoincidentAntennas):
-            los_channel(tx, rx, 0.01)
+            los_channel(tx, rx)
 
 
 class TestSingularSpectrum:
     def test_diagonal(self):
-        H = ChannelMatrix(entries=np.diag([3.0, 1.0, 2.0]).astype(complex), lambda_m=0.01)
+        H = ChannelMatrix(entries=np.diag([3.0, 1.0, 2.0]).astype(complex))
         s = singular_spectrum(H)
         assert s.values == pytest.approx([3.0, 2.0, 1.0])
         assert s.normalized == pytest.approx([1.0, 2.0 / 3.0, 1.0 / 3.0])
@@ -129,7 +129,7 @@ class TestSingularSpectrum:
         rng = np.random.default_rng(51)
         u = rng.normal(size=4) + 1j * rng.normal(size=4)
         v = rng.normal(size=6) + 1j * rng.normal(size=6)
-        H = ChannelMatrix(entries=np.outer(u, v.conj()), lambda_m=0.01)
+        H = ChannelMatrix(entries=np.outer(u, v.conj()))
         s = singular_spectrum(H)
         top = np.linalg.norm(u) * np.linalg.norm(v)
         assert s.values[0] == pytest.approx(top, rel=1e-12)
@@ -140,7 +140,7 @@ class TestSingularSpectrum:
         rng = np.random.default_rng(52)
         for _ in range(20):
             A = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-            s = singular_spectrum(ChannelMatrix(entries=A, lambda_m=0.01))
+            s = singular_spectrum(ChannelMatrix(entries=A))
             ref = np.linalg.svd(A, compute_uv=False)
             assert s.values == pytest.approx(ref, rel=1e-9, abs=1e-9)
 
@@ -154,19 +154,19 @@ class TestSingularSpectrum:
     def test_rectangular_uses_smaller_gram(self):
         rng = np.random.default_rng(53)
         A = rng.normal(size=(3, 9)) + 1j * rng.normal(size=(3, 9))
-        s = singular_spectrum(ChannelMatrix(entries=A, lambda_m=0.01))
+        s = singular_spectrum(ChannelMatrix(entries=A))
         assert len(s.values) == 3
         assert s.values == pytest.approx(np.linalg.svd(A, compute_uv=False), rel=1e-9)
 
     def test_non_finite_rejected(self):
-        H = ChannelMatrix(entries=np.array([[np.inf + 0j]]), lambda_m=0.01)
+        H = ChannelMatrix(entries=np.array([[np.inf + 0j]]))
         with pytest.raises(ValueError):
             singular_spectrum(H)
 
     def test_subnormal_leading_entry(self):
         # the first pivot's leading entry is subnormal, so 1 / |v[0]| overflows
         A = np.array([[2.2e-311 + 2.2e-311j], [1.0 + 2.2e-311j]])
-        s = singular_spectrum(ChannelMatrix(entries=A, lambda_m=0.01))
+        s = singular_spectrum(ChannelMatrix(entries=A))
         assert s.values == pytest.approx(np.linalg.svd(A, compute_uv=False), rel=1e-15)
 
     @pytest.mark.parametrize("scale", [1e-170, 1e160, 1e-300, 1e300])
@@ -175,7 +175,7 @@ class TestSingularSpectrum:
         # Frobenius floor overflows to inf (1e160)
         rng = np.random.default_rng(54)
         A = (rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))) * scale
-        s = singular_spectrum(ChannelMatrix(entries=A, lambda_m=0.01))
+        s = singular_spectrum(ChannelMatrix(entries=A))
         ref = np.linalg.svd(A, compute_uv=False)
         assert s.values == pytest.approx(ref, rel=1e-12)
         assert s.normalized == pytest.approx(ref / ref[0], rel=1e-12)
@@ -186,7 +186,7 @@ class TestSingularSpectrum:
         u = rng.uniform(0.5, 1.0, size=(2, 4, 3))
         A = 1.5e308 * u[0] + 1.5e308j * u[1]
         with pytest.warns(RuntimeWarning, match="overflow encountered in ldexp"):
-            s = singular_spectrum(ChannelMatrix(entries=A, lambda_m=0.01))
+            s = singular_spectrum(ChannelMatrix(entries=A))
         scaled = np.ldexp(A.real, -1024) + 1j * np.ldexp(A.imag, -1024)
         ref = np.linalg.svd(scaled, compute_uv=False)
         assert s.normalized == pytest.approx(ref / ref[0], rel=1e-12)
@@ -198,7 +198,7 @@ class TestSingularSpectrum:
     def test_power_of_two_scale_moves_every_value_exactly(self, k):
         H = build_channel(300.0, 0.3, 40.0, 40.0, 0.5)
         base = singular_spectrum(H)
-        s = singular_spectrum(ChannelMatrix(entries=H.entries * 2.0**k, lambda_m=0.01))
+        s = singular_spectrum(ChannelMatrix(entries=H.entries * 2.0**k))
         assert np.array_equal(s.values, np.ldexp(base.values, k))
         assert np.array_equal(s.normalized, base.normalized)
 
@@ -234,7 +234,7 @@ class TestNoiseFloor:
         rng = np.random.default_rng(seed)
         A = complex_normal(rng, (shape[0], rank)) @ complex_normal(rng, (rank, shape[1]))
         A += 10.0**noise * complex_normal(rng, shape)
-        s = singular_spectrum(ChannelMatrix(entries=A, lambda_m=0.01)).values
+        s = singular_spectrum(ChannelMatrix(entries=A)).values
         fro = np.linalg.norm(A)
         bound = NOISE_FLOOR * fro + math.sqrt(KEPT_JACOBI_TOL) * fro
         assert np.abs(s - np.linalg.svd(A, compute_uv=False)).max() <= bound
@@ -309,7 +309,7 @@ class TestEdof:
     def _spectrum(self, values):
         values = np.asarray(values, dtype=float)
         return singular_spectrum(
-            ChannelMatrix(entries=np.diag(values).astype(complex), lambda_m=0.01)
+            ChannelMatrix(entries=np.diag(values).astype(complex))
         )
 
     def test_threshold_basic(self):
@@ -350,14 +350,14 @@ class TestEdof:
         entries = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
         s = np.linalg.svd(entries, compute_uv=False)
         want = np.sum(s**2) ** 2 / np.sum(s**4)
-        got = edof_quadratic(singular_spectrum(ChannelMatrix(entries=entries * scale, lambda_m=0.01)))
+        got = edof_quadratic(singular_spectrum(ChannelMatrix(entries=entries * scale)))
         assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestPipelineProperties:
     def test_amplitude_scale_invariance(self):
         a = build_channel(60.0, 0.2, 16.0, 16.0, 0.5)
-        b = ChannelMatrix(entries=a.entries, lambda_m=0.12345)
+        b = ChannelMatrix(entries=a.entries * 0.12345)
         sa, sb = singular_spectrum(a), singular_spectrum(b)
         assert sa.normalized == pytest.approx(sb.normalized, abs=1e-12)
 

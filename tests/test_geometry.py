@@ -90,7 +90,7 @@ class TestCanonicalize:
             )
             v = rng.normal(size=3)
             v /= np.linalg.norm(v)
-            placement, v_c, _ = canonicalize(p, v, Ls=LS)
+            placement, v_c, _ = canonicalize(p, v)
             before = local_bandwidth_oracle(p, v, LS, 2001)
             after = local_bandwidth_oracle(placement.point(), v_c, LS, 2001)
             assert after == pytest.approx(before, rel=1e-9, abs=1e-12)
@@ -100,14 +100,15 @@ class TestCanonicalize:
             canonicalize((0.0, 0.0, 0.0), (0.0, 0.0, 1.0))
 
     def test_point_on_segment_rejected(self):
-        with pytest.raises(DegeneratePoint):
-            canonicalize((0.0, 0.0, 30.0), (0.0, 1.0, 0.0), Ls=LS)
-        with pytest.raises(DegeneratePoint):
-            canonicalize((0.0, 5e-10, 30.0), (0.0, 1.0, 0.0), Ls=LS)
+        # canonicalize makes no segment test; geometry_angles of its placement is the one
+        for p in ((0.0, 0.0, 30.0), (0.0, 5e-10, 30.0), (3e-10, -4e-10, -30.0)):
+            placement, _, _ = canonicalize(p, (0.0, 1.0, 0.0))
+            with pytest.raises(DegeneratePoint, match="intersects the transmit segment"):
+                geometry_angles(placement, LS)
 
     def test_point_just_outside_band_accepted(self):
-        placement, _, _ = canonicalize((0.0, 1e-6, 30.0), (0.0, 1.0, 0.0), Ls=LS)
-        assert placement.R > 0.0
+        placement, _, _ = canonicalize((0.0, 1e-6, 30.0), (0.0, 1.0, 0.0))
+        assert geometry_angles(placement, LS).alpha > 0.0
 
 
 class TestGeometryAngles:

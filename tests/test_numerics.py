@@ -70,53 +70,40 @@ def hermitian_charpoly_roots(M):
 
 class TestIntegrate:
     def test_constant(self):
-        for kind in ("trapezoid", "simpson"):
-            rule = QuadratureRule(kind, 11)
-            assert integrate(lambda x: 1.0, 0.0, 1.0, rule) == pytest.approx(1.0, rel=1e-15)
+        assert integrate(lambda x: 1.0, 0.0, 1.0, QuadratureRule(11)) == pytest.approx(1.0, rel=1e-15)
 
     def test_cubic_exact_for_simpson(self):
-        rule = QuadratureRule("simpson", 5)
+        rule = QuadratureRule(5)
         assert integrate(lambda x: x**3, 0.0, 1.0, rule) == pytest.approx(0.25, abs=1e-15)
-
-    def test_linear_exact_for_trapezoid(self):
-        rule = QuadratureRule("trapezoid", 7)
-        assert integrate(lambda x: 3.0 * x - 2.0, -1.0, 2.0, rule) == pytest.approx(
-            4.5 - 6.0, abs=1e-13
-        )
 
     def test_sine_high_accuracy(self):
         # theoretical composite-Simpson error here is (pi/180) h^4 ~ 4e-9
-        rule = QuadratureRule("simpson", 129)
+        rule = QuadratureRule(129)
         assert integrate(math.sin, 0.0, math.pi, rule) == pytest.approx(2.0, abs=1e-8)
-        rule = QuadratureRule("simpson", 1025)
+        rule = QuadratureRule(1025)
         assert integrate(math.sin, 0.0, math.pi, rule) == pytest.approx(2.0, abs=1e-12)
 
     def test_empty_interval(self):
-        assert integrate(math.sin, 1.0, 1.0, QuadratureRule("simpson", 5)) == 0.0
+        assert integrate(math.sin, 1.0, 1.0, QuadratureRule(5)) == 0.0
 
     def test_reversed_interval_rejected(self):
         with pytest.raises(ValueError):
-            integrate(math.sin, 1.0, 0.0, QuadratureRule("simpson", 5))
+            integrate(math.sin, 1.0, 0.0, QuadratureRule(5))
 
     def test_even_simpson_nodes_rejected(self):
-        with pytest.raises(InvalidRule):
-            QuadratureRule("simpson", 10)
+        for nodes in (4, 10, MAX_QUAD_POINTS - 1):
+            with pytest.raises(InvalidRule, match=rf"^composite Simpson needs an odd node count, got {nodes}$"):
+                QuadratureRule(nodes)
 
-    @pytest.mark.parametrize(
-        "kind, nodes", [("trapezoid", 2), ("trapezoid", MAX_QUAD_POINTS + 1), ("simpson", MAX_QUAD_POINTS + 2)]
-    )
-    def test_node_count_outside_bounds_rejected(self, kind, nodes):
-        with pytest.raises(InvalidRule, match="nodes"):
-            QuadratureRule(kind, nodes)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(InvalidRule):
-            QuadratureRule("midpoint", 11)
+    @pytest.mark.parametrize("nodes", [1, 2, MAX_QUAD_POINTS + 1, MAX_QUAD_POINTS + 2])
+    def test_node_count_outside_bounds_rejected(self, nodes):
+        with pytest.raises(InvalidRule, match=rf"^need 3 to {MAX_QUAD_POINTS} nodes, got {nodes}$"):
+            QuadratureRule(nodes)
 
     def test_simpson_empirical_order(self):
         errors = []
         for nodes in (9, 17, 33, 65):
-            val = integrate(math.sin, 0.0, math.pi, QuadratureRule("simpson", nodes))
+            val = integrate(math.sin, 0.0, math.pi, QuadratureRule(nodes))
             errors.append(abs(val - 2.0))
         orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
         assert min(orders) >= 3.8

@@ -40,7 +40,7 @@ from nfdof.scenario import (
 )
 import nfdof.scenario as scenario_mod
 
-MINIMAL = {"lambda_m": 0.01, "Ls": 100, "Lp": 100, "placement": {"R": 500, "theta": 0}}
+MINIMAL = {"Ls": 100, "Lp": 100, "placement": {"R": 500, "theta": 0}}
 # with Ls = 100 both placements lie on the transmit segment z in [-50, 50]
 ON_SEGMENT = [{"R": 10, "theta": math.pi / 2}, {"R": 1e-12, "theta": 0}]
 
@@ -71,7 +71,6 @@ def read_table(stream):
 class TestParseScenario:
     def test_minimal_defaults(self):
         sc = parse_scenario(scenario_text())
-        assert sc.lambda_m == 0.01
         assert sc.Ls == 100.0
         assert sc.Lp == 100.0
         assert sc.placement.R == 500.0
@@ -79,7 +78,7 @@ class TestParseScenario:
         assert sc.quad_points == 129
         assert sc.grid == (64, 64)
         assert sc.sweep == DEFAULT_KMAX_SWEEP and sc.theta_list == DEFAULT_KMAX_THETAS
-        assert sc.orientation_mode == "optimal"
+        assert sc.orientation == parse_scenario(scenario_text(orientation="optimal")).orientation
 
     def test_optimal_orientation_resolved(self):
         sc = parse_scenario(scenario_text(placement={"R": 500, "theta": math.pi / 3}))
@@ -91,7 +90,6 @@ class TestParseScenario:
         sc = parse_scenario(scenario_text(orientation={"psi": 1.0, "phi": 2.0}))
         assert sc.orientation.psi == 1.0
         assert sc.orientation.phi == 2.0
-        assert sc.orientation_mode == "explicit"
 
     def test_negative_theta_rejected(self):
         with pytest.raises(RangeError, match="placement.theta"):
@@ -99,9 +97,9 @@ class TestParseScenario:
 
     def test_missing_field_names_path(self):
         with pytest.raises(SchemaError, match="Lp"):
-            parse_scenario(json.dumps({"lambda_m": 0.01, "Ls": 100, "placement": {"R": 1, "theta": 0}}))
+            parse_scenario(json.dumps({"Ls": 100, "placement": {"R": 1, "theta": 0}}))
         with pytest.raises(SchemaError, match="placement.R"):
-            parse_scenario(json.dumps({"lambda_m": 0.01, "Ls": 100, "Lp": 100, "placement": {"theta": 0}}))
+            parse_scenario(json.dumps({"Ls": 100, "Lp": 100, "placement": {"theta": 0}}))
 
     def test_bad_json_rejected(self):
         with pytest.raises(SchemaError, match="JSON"):
@@ -145,6 +143,18 @@ class TestParseScenario:
         with pytest.raises(ValueError, match="sweep count"):
             SweepSpec("R", 300.0, 1000.0, count)
 
+    def test_one_value_sweep_needs_stop_equal_to_start(self, tmp_path, capsys):
+        # one value cannot be both start and stop, so stop would be dropped
+        with pytest.raises(ValueError, match=r"^a sweep of count 1 needs stop == start, got 50.0 to 100.0$"):
+            SweepSpec("R", 50.0, 100.0, 1)
+        with pytest.raises(RangeError, match=r"^sweep\.count: a sweep of count 1 needs stop == start"):
+            parse_scenario(scenario_text(sweep={"variable": "R", "start": 50, "stop": 100, "count": 1}))
+        cfg = tmp_path / "kmax.json"
+        cfg.write_text(scenario_text(sweep={"variable": "R", "start": 500, "stop": 600, "count": 1}))
+        assert main(["kmax-sweep", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("nfdof: error: sweep.count: ")
+        assert SweepSpec("R", 500.0, 500.0, 1).values().tolist() == [500.0]
+
     def test_theta_list_range_checked(self):
         with pytest.raises(RangeError, match=r"theta_list\[1\]"):
             parse_scenario(scenario_text(theta_list=[0.0, 3.5]))
@@ -163,7 +173,7 @@ class TestParseScenario:
         "overrides, message",
         [
             ({"placement": {"R": math.inf, "theta": 0}}, r"^placement\.R: inf is not a finite number"),
-            ({"lambda_m": math.nan}, r"^lambda_m: nan is not a finite number"),
+            ({"Lp": math.nan}, r"^Lp: nan is not a finite number"),
         ],
     )
     def test_non_finite_value_names_field(self, overrides, message):
@@ -175,8 +185,8 @@ class TestParseScenario:
         text = json.dumps({"scenarios": [MINIMAL, dict(MINIMAL, placement={"R": 500, "theta": math.nan})]})
         with pytest.raises(RangeError, match=r"^scenarios\[1\]\.placement\.theta: nan"):
             parse_scenarios(text)
-        text = json.dumps({"scenarios": [dict(MINIMAL, lambda_m=-math.inf)]})
-        with pytest.raises(RangeError, match=r"^scenarios\[0\]\.lambda_m: -inf"):
+        text = json.dumps({"scenarios": [dict(MINIMAL, Ls=-math.inf)]})
+        with pytest.raises(RangeError, match=r"^scenarios\[0\]\.Ls: -inf"):
             parse_scenarios(text)
 
     @pytest.mark.parametrize("placement", ON_SEGMENT)
@@ -669,6 +679,25 @@ class TestLibraryCaps:
         with pytest.raises(ValueError, match=rf"^need 2 to {MAX_AXIS_POINTS} points per axis, got {n_points}$"):
             getattr(cli_mod, command)(sc, n_points=n_points)
 
+    @pytest.mark.parametrize("extent", [1e308, 8.99e307, -1.0, math.nan])
+    def test_map_extent_outside_the_float_window_rejected(self, monkeypatch, extent):
+        # np.linspace(-extent, extent, n) overflows 2 * extent to inf past about 8.99e307
+        import nfdof.cli as cli_mod
+
+        sc = parse_scenario(scenario_text(), "maxbw-map")
+        fail = lambda *a, **k: pytest.fail("work was done")  # noqa: E731
+        for name in ("_tensor_rows", "SweepTable"):
+            monkeypatch.setattr(cli_mod, name, fail)
+        monkeypatch.setattr(cli_mod, "np", SimpleNamespace(linspace=fail))
+        with pytest.raises(ValueError, match=r"^extent: "):
+            cli_mod.cmd_maxbw_map(sc, extent=extent, n_points=3)
+
+    def test_largest_map_extent_gives_finite_coordinates(self):
+        extent = np.nextafter(0.5 * np.finfo(float).max, 0.0)
+        rows = cmd_maxbw_map(parse_scenario(scenario_text(), "maxbw-map"), extent=extent, n_points=3).rows
+        assert np.isfinite(rows).all()
+        assert rows[0, 0] == -extent and rows[-1, 1] == extent
+
     @pytest.mark.parametrize("theta_list", [(0.1,) * 4, (0.1,) * 200_000])
     def test_kmax_pairs_over_the_cap_rejected(self, monkeypatch, theta_list):
         import nfdof.cli as cli_mod
@@ -696,7 +725,6 @@ class TestLibraryCaps:
 
 # a value each field refuses, for the subcommands that do not read the field
 BAD_FIELDS = {
-    "lambda_m": -1,
     "Lp": -1,
     "placement": "x",
     "orientation": "sideways",
@@ -747,6 +775,16 @@ class TestReads:
         # a subcommand that reads the field refuses the value
         reader = next(argv for argv in CONFIG_COMMANDS if key in READS[argv[0]])
         assert _csv_body(reader, cfg, tmp_path / "refused.csv") == (2, None)
+
+    @pytest.mark.parametrize("argv", CONFIG_COMMANDS, ids=lambda argv: argv[0])
+    def test_lambda_m_is_read_by_no_subcommand(self, tmp_path, argv):
+        # lengths are in wavelengths, so a physical wavelength changes no output byte
+        cfg = tmp_path / "s.json"
+        cfg.write_text(json.dumps(FULL))
+        want = _csv_body(argv, cfg, tmp_path / "want.csv")
+        cfg.write_text(json.dumps(dict(FULL, lambda_m=-1)))
+        assert _csv_body(argv, cfg, tmp_path / "got.csv") == want
+        assert want[0] == 0
 
     @pytest.mark.parametrize("command", list(READS))
     def test_job_reads_no_field_beyond_its_reads(self, command):
@@ -839,6 +877,7 @@ class TestCliMain:
             ("maxbw-map", "kmax.json", "--extent", "nan"),
             ("maxbw-map", "kmax.json", "--extent", "inf"),
             ("maxbw-map", "kmax.json", "--extent", "0"),
+            ("maxbw-map", "kmax.json", "--extent", "1e308"),
             ("localbw-sweep", "kmax.json", "--grid", "1"),
             ("localbw-sweep", "kmax.json", "--grid", "1000000000"),
             ("svd-spectrum", "spectra.json", "--tau", "1.5"),
@@ -1000,7 +1039,7 @@ class TestOptionSurface:
 # what each kind of command-line number may be once it reaches a job
 IN_BOUNDS = {
     "axis": lambda n: type(n) is int and 2 <= n <= MAX_AXIS_POINTS,
-    "extent": lambda x: math.isfinite(x) and x > 0.0,
+    "extent": lambda x: math.isfinite(2.0 * x) and x > 0.0,
     "tau": lambda t: 0.0 < t < 1.0,
     "seed": lambda n: type(n) is int and n >= 0,
     "cases": lambda n: type(n) is int and 1 <= n <= MAX_CASES,
@@ -1089,13 +1128,25 @@ class TestValidationHarness:
         assert report.passed
         assert len(report.results) == 5
 
-    def test_corrupted_closed_form_detected(self):
-        report = run_validation(seed=3, n_cases=30, corruption=1e-3)
-        assert not report.passed
+    @staticmethod
+    def _bias_closed_form(monkeypatch, bias):
+        """Add ``bias`` to every closed-form bandwidth the harness computes."""
+        import nfdof.validation as validation_mod
 
-    def test_oracle_check_holds_each_case_to_its_own_bound(self):
+        closed = validation_mod.local_bandwidth_closed
+        monkeypatch.setattr(validation_mod, "local_bandwidth_closed", lambda *a: closed(*a) + bias)
+
+    def test_corrupted_closed_form_detected(self, monkeypatch):
+        self._bias_closed_form(monkeypatch, 1e-3)
+        report = run_validation(seed=3, n_cases=30)
+        assert not report.passed
+        assert not report.results[0].passed
+
+    def test_oracle_check_holds_each_case_to_its_own_bound(self, monkeypatch):
         # 1e-5 is below the loosest case's bound but 92 times the tightest one's
-        result = check_closed_vs_oracle(0, 200, corruption=1e-5)
+        assert check_closed_vs_oracle(0, 200).passed
+        self._bias_closed_form(monkeypatch, 1e-5)
+        result = check_closed_vs_oracle(0, 200)
         assert not result.passed
         assert result.line().startswith("FAIL ")
 

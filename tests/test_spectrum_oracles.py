@@ -139,7 +139,7 @@ class TestChannels:
     def test_rank_deficient_channel_stops_at_a_zero_norm(self):
         entries = build_channel(500.0, math.pi / 6.0, 50.0, 100.0, 0.5).entries.copy()
         entries[:, 7] = 0.0  # a dead transmit antenna: rank 100 of 101
-        R, kept = assert_same_route(ChannelMatrix(entries=entries, lambda_m=0.01))
+        R, kept = assert_same_route(ChannelMatrix(entries=entries))
         # the QR stops at the noise floor, long before the zero column
         assert kept == 25
         assert np.isfinite(R).all()
