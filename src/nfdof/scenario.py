@@ -54,7 +54,7 @@ from .numerics import QuadratureRule
 DEFAULT_SPACING = 0.5
 MAX_SWEEP_COUNT = 10_000  # values() allocates the whole sweep
 MAX_KMAX_PAIRS = 3 * MAX_SWEEP_COUNT  # a full sweep at the three default tilts; one search per pair
-_EMIT_BLOCK_ROWS = 4096  # rows per write, each distinct value of a column formatted once per block
+_EMIT_BLOCK_ROWS = 4096  # rows per write; a column's distinct values the last block lacked are formatted
 READS = {  # the document fields each subcommand reads, and so requires and checks
     "localbw-sweep": ("Ls", "placement"),
     "maxbw-map": ("Ls",),
@@ -212,7 +212,7 @@ def _channel_scenario(doc: Mapping, config_id: int = 0, path: str = "") -> Scena
     n_tx = _checked(path + "spacing_s", grid_steps, sc.Ls, sc.spacing_s) + 1
     n_rx = _checked(path + "spacing_p", grid_steps, sc.Lp, sc.spacing_p) + 1
     _checked(path + "spacing_p", check_channel_size, n_rx, n_tx)
-    _open_fan(sc.placement, sc.Ls, path + "placement", path + "placement.theta", 0.5 * sc.Lp)
+    _open_fan(sc.placement, sc.Ls, path + "placement", path + "placement", 0.5 * sc.Lp)  # open: only reach fails
     return sc
 
 
@@ -245,7 +245,8 @@ def _scenario_from_dict(doc: Mapping, reads: Collection[str], config_id: int = 0
         R = _positive(_require(pdoc, "R", path + "placement."), path + "placement.R")
         theta = _number(_require(pdoc, "theta", path + "placement."), path + "placement.theta")
         sc["placement"] = _checked(path + "placement.theta", PolarPlacement, R, theta)  # R > 0 already
-        angles = _open_fan(sc["placement"], Ls, path + "placement", path + "placement.theta")
+        axis = "placement.theta" if theta == 0.5 * math.pi else "placement.R"  # else alpha rounds to 0
+        angles = _open_fan(sc["placement"], Ls, path + "placement", path + axis)
 
     if "orientation" in reads:
         odoc = doc.get("orientation", "optimal")
@@ -293,10 +294,10 @@ class SweepTable:
     A list of row tuples is converted on construction.  The CSV body is RFC
     4180 (comma separated, LF endings, "." decimal); each value is written as
     "%.17g", so rereads round-trip exactly.  Each block of _EMIT_BLOCK_ROWS
-    rows is one write, which formats each distinct value of a column once;
-    the bytes equal those of formatting every value, and no whole-table
-    text is built.  Output is byte-identical across runs except the
-    "generated" line.
+    rows is one write; per column it formats only the distinct values the
+    previous block lacked and reuses that block's texts for the rest.  The
+    bytes equal those of formatting every value, memory holds one block's
+    text, and output is byte-identical across runs but the "generated" line.
     """
 
     columns: list[str]
@@ -319,14 +320,21 @@ class SweepTable:
         for note in self.notes:
             stream.write(f"# {note}\n")
         stream.write(",".join(self.columns) + "\n")
+        # per column, the last block's sorted distinct bit patterns and their texts; bits 0 are 0.0, "0"
+        held = [(np.zeros(1, np.int64), np.array(["0"], object))] * len(self.columns)
         for start in range(0, len(self.rows), _EMIT_BLOCK_ROWS):
             fields = []
-            for column in self.rows[start : start + _EMIT_BLOCK_ROWS].T:
-                # distinct bit patterns, so -0.0 keeps its sign
+            for j, column in enumerate(self.rows[start : start + _EMIT_BLOCK_ROWS].T):
+                # distinct bit patterns, so -0.0 keeps its sign; only those the last block lacked are formatted
                 distinct, inverse = np.unique(column.view(np.int64), return_inverse=True)
-                text = np.array(["%.17g" % v for v in distinct.view(np.float64).tolist()], dtype=object)
+                keys, texts = held[j]
+                at = np.minimum(np.searchsorted(keys, distinct), len(keys) - 1)
+                new = keys[at] != distinct
+                text = texts[at]
+                text[new] = ["%.17g" % v for v in distinct[new].view(np.float64).tolist()]
+                held[j] = distinct, text
                 fields.append(text[inverse])
-            stream.write("".join([",".join(row) + "\n" for row in zip(*fields)]))
+            stream.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 
 def sha256_of(text: str) -> str:

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import struct
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -18,6 +19,7 @@ from nfdof.channel import MAX_CHANNEL_ENTRIES
 from nfdof.cli import (
     MAX_AXIS_POINTS,
     _build_parser,
+    _tensor_rows,
     cmd_kmax_sweep,
     cmd_localbw_sweep,
     cmd_maxbw_map,
@@ -572,6 +574,53 @@ NAN_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
 EMIT_VALUES = [0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan, -math.nan, NAN_PAYLOAD, 0.1, 1e16]
 
 
+def tensor_rows_reference(a, b, *values):
+    """The meshgrid/column_stack form that _tensor_rows fills in place."""
+    aa, bb = np.meshgrid(a, b, indexing="ij")
+    return np.column_stack([aa.ravel(), bb.ravel(), *(np.ravel(v) for v in values)])
+
+
+def bits(x):
+    """An array's bit patterns, so that -0.0 and each NaN payload compare as themselves."""
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+class TestMapTables:
+    @pytest.mark.parametrize("n_a, n_b", [(1, 4), (4, 1), (2, 3)])
+    @pytest.mark.parametrize("axes", [list, tuple, np.array])
+    def test_equals_the_meshgrid_column_stack_form(self, n_a, n_b, axes):
+        rng = np.random.default_rng(n_a * 10 + n_b)
+        specials = [-0.0, 0.0, math.nan, -math.nan, NAN_PAYLOAD]
+        a = axes(([-0.0, 1.5, 2.5, math.nan] * 2)[:n_a])
+        b = axes([0.25 * j - 0.5 for j in range(n_b)])
+        flat = [specials[k % 5] if k % 2 else x for k, x in enumerate(rng.normal(size=n_a * n_b).tolist())]
+        grid = np.array([x if k % 3 else specials[k % 5] for k, x in enumerate(flat[::-1])]).reshape(n_a, n_b)
+        # flat lists as cmd_kmax_sweep passes its AK and EK, an (n_a, n_b) grid as the maps pass
+        for values in ((), (flat,), (flat, flat[::-1]), (grid,), (grid, flat)):
+            got, want = _tensor_rows(a, b, *values), tensor_rows_reference(a, b, *values)
+            assert got.dtype == want.dtype == np.float64
+            assert got.shape == want.shape == (n_a * n_b, 2 + len(values))
+            assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("command", ["maxbw", "localbw"])
+    def test_map_build_peaks_at_its_table_plus_one_grid(self, command):
+        n = 301
+        sc = parse_scenario(scenario_text(placement={"R": 200, "theta": 0.3}), "localbw-sweep")
+        build = {"maxbw": lambda: cmd_maxbw_map(sc, n_points=n),
+                 "localbw": lambda: cmd_localbw_sweep(sc, n_points=n)}
+        build[command]()  # first-call costs outside the measurement
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            table = build[command]()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert table.rows.shape == (n * n, 3)
+        assert peak <= table.rows.nbytes + 8 * n * n + 256 * 1024
+
+
 @st.composite
 def emit_tables(draw):
     """(n_cols, rows) drawn from a pool of at most 4 values, so that every block repeats some."""
@@ -646,6 +695,27 @@ class TestCsvContract:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(scenario_mod, "_EMIT_BLOCK_ROWS", 3)
             SweepTable([f"c{j}" for j in range(n_cols)], rows, "test").write_csv(buf, version="0", timestamp="T")
+        body = buf.getvalue().split("\n", 6)[6]  # after 5 comment lines and the column names
+        assert body == "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # 1.5 in blocks 0 and 2 but not in block 1, 0.1 and 0.2 in each
+            [[1.5, 0.1], [2.5, 0.1], [1.5, 0.2], [3.5, 0.1], [4.5, 0.2], [3.5, 0.1],
+             [1.5, 0.2], [2.5, 0.4], [5.5, 0.2]],
+            # 0.0 in one block and -0.0 in the next, in both columns and both orders
+            [[0.0, -0.0], [0.0, 1.0], [1.0, -0.0], [-0.0, 0.0], [-0.0, 1.0], [1.0, 0.0], [0.0, -0.0]],
+            # two NaN payloads in neighbouring blocks, and a NaN of either sign
+            [[math.nan, 1.0], [math.nan, 1.0], [2.0, NAN_PAYLOAD], [NAN_PAYLOAD, math.nan], [1.0, -math.nan],
+             [NAN_PAYLOAD, 2.0], [-math.nan, NAN_PAYLOAD]],
+        ],
+        ids=["back-after-a-block", "zeros-of-either-sign", "nan-payloads"],
+    )
+    def test_texts_held_from_the_last_block_are_format_17g(self, monkeypatch, rows):
+        monkeypatch.setattr(scenario_mod, "_EMIT_BLOCK_ROWS", 3)
+        buf = io.StringIO()
+        SweepTable(["a", "b"], rows, "test").write_csv(buf, version="0", timestamp="T")
         body = buf.getvalue().split("\n", 6)[6]  # after 5 comment lines and the column names
         assert body == "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows)
 
@@ -911,6 +981,7 @@ class TestCliMain:
         "overrides, field",
         [
             ({"placement": {"R": 500, "theta": math.pi / 2}}, "scenarios[0].placement.theta"),
+            ({"placement": {"R": 1e20, "theta": 0.3}}, "scenarios[0].placement.R"),
             ({"spacing_p": 0.3}, "scenarios[0].spacing_p"),
         ],
     )
@@ -959,6 +1030,29 @@ class TestCliMain:
         cfg.write_text(scenario_text(**overrides))
         assert main(["kmax-sweep", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith(f"nfdof: error: {field}: ")
+
+    @pytest.mark.parametrize(
+        "placement, field",
+        [
+            # off the axis a zero fan is alpha rounding to 0 far away: R is named
+            ({"R": 1e20, "theta": 0.3}, "placement.R"),
+            # beyond the segment tip on its axis every arrival direction is parallel: the tilt is named
+            ({"R": 500, "theta": math.pi / 2}, "placement.theta"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["localbw-sweep", "svd-spectrum"])
+    def test_zero_fan_names_the_field_that_closes_it(
+        self, tmp_path, capsys, monkeypatch, command, placement, field
+    ):
+        import nfdof.cli as cli_mod
+
+        for name in JOBS:
+            monkeypatch.setattr(cli_mod, name, lambda *a, **k: pytest.fail("a job ran"))
+        cfg = tmp_path / "zero-fan.json"
+        cfg.write_text(scenario_text(placement=placement))
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"nfdof: error: {field}: the segment subtends a zero angle")
 
     @pytest.mark.parametrize("command", ["localbw-sweep", "maxbw-map"])
     def test_default_kmax_pairs_checked_only_for_kmax_sweep(self, tmp_path, command):
