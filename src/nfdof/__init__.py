@@ -19,7 +19,6 @@ from .bandwidth import (
     spatial_frequency,
 )
 from .channel import (
-    AntennaGrid,
     ChannelMatrix,
     SingularSpectrum,
     antenna_grid,
@@ -30,7 +29,6 @@ from .channel import (
 )
 from .geometry import (
     ArraySegment,
-    CanonicalTransform,
     GeometryAngles,
     K0,
     PolarPlacement,
@@ -57,7 +55,6 @@ __all__ = [
     "__version__",
     "K0",
     "ArraySegment",
-    "CanonicalTransform",
     "GeometryAngles",
     "PolarPlacement",
     "canonicalize",
@@ -83,7 +80,6 @@ __all__ = [
     "k_number_max",
     "k_number_numeric",
     "maximize_k",
-    "AntennaGrid",
     "ChannelMatrix",
     "SingularSpectrum",
     "antenna_grid",

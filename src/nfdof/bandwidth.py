@@ -134,7 +134,7 @@ def local_bandwidth_closed(p: Sequence[float], v: Sequence[float], Ls: float) ->
     placement (zero fan) or a direction along the segment gives 0.  The
     segment test and fan are ``geometry._fan_angles``, as two floats.
     """
-    placement, v_c, _ = canonicalize(p, v)
+    placement, v_c = canonicalize(p, v)
     alpha, beta = _fan_angles(placement, Ls)
     psi, phi = _direction_angles(v_c)
     return omega_from_angles(psi, reduce_phi_prime(phi, beta), alpha)

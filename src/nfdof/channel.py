@@ -42,15 +42,6 @@ at this tolerance."""
 
 
 @dataclass(frozen=True)
-class AntennaGrid:
-    """Uniformly spaced antenna positions along a segment, endpoints included."""
-
-    positions: np.ndarray  # (count, 3), wavelengths
-    spacing: float
-    count: int
-
-
-@dataclass(frozen=True)
 class ChannelMatrix:
     """Dense complex LoS gain matrix, receive antennas on rows."""
 
@@ -80,13 +71,15 @@ def grid_steps(length: float, spacing: float) -> int:
     return steps
 
 
-def antenna_grid(segment: ArraySegment, spacing: float) -> AntennaGrid:
-    """Place length/spacing + 1 antennas on the segment, symmetric about its center."""
+def antenna_grid(segment: ArraySegment, spacing: float) -> np.ndarray:
+    """Positions of length/spacing + 1 antennas on the segment, symmetric about its center.
+
+    Returns a (count, 3) array in wavelengths, endpoints included, ordered
+    along the segment's direction.
+    """
     steps = grid_steps(segment.length, spacing)
-    count = steps + 1
-    offsets = (np.arange(count) - 0.5 * steps) * spacing
-    positions = np.asarray(segment.center) + offsets[:, None] * np.asarray(segment.direction)
-    return AntennaGrid(positions=positions, spacing=spacing, count=count)
+    offsets = (np.arange(steps + 1) - 0.5 * steps) * spacing
+    return np.asarray(segment.center) + offsets[:, None] * np.asarray(segment.direction)
 
 
 def check_channel_size(n_rx: int, n_tx: int) -> None:
@@ -95,15 +88,17 @@ def check_channel_size(n_rx: int, n_tx: int) -> None:
         raise ValueError(f"{n_rx} x {n_tx} antennas exceed {MAX_CHANNEL_ENTRIES} entries")
 
 
-def los_channel(tx: AntennaGrid, rx: AntennaGrid) -> ChannelMatrix:
+def los_channel(tx: np.ndarray, rx: np.ndarray) -> ChannelMatrix:
     """Spherical-wave LoS channel between two antenna grids.
 
-    The phase 2*pi*r is computed from the fractional part of r (in
-    wavelengths) so that no precision is lost at large link distances.
-    The size is checked before any array is allocated.
+    ``tx`` and ``rx`` are (count, 3) position arrays, as ``antenna_grid``
+    returns them; the receive antennas index the rows.  The phase 2*pi*r is
+    computed from the fractional part of r (in wavelengths) so that no
+    precision is lost at large link distances.  The size is checked before
+    any array is allocated.
     """
-    check_channel_size(len(rx.positions), len(tx.positions))
-    diff = rx.positions[:, None, :] - tx.positions[None, :, :]
+    check_channel_size(len(rx), len(tx))
+    diff = rx[:, None, :] - tx[None, :, :]
     r = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
     if not r.all():
         raise CoincidentAntennas("a transmit and a receive antenna coincide")

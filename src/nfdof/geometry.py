@@ -13,6 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,13 +27,28 @@ K0 = 2.0 * math.pi
 SEGMENT_TOL = 1e-9
 "Half-width of the degeneracy band around the transmit segment, in wavelengths."
 
+_NORMAL_MIN, _NORMAL_MAX = sys.float_info.min, sys.float_info.max
+
 
 def unit(v: Sequence[float]) -> Vec3:
-    """Normalize a 3-vector; raises DegenerateGeometry on a zero vector."""
+    """Normalize a 3-vector; raises DegenerateGeometry on a zero or non-finite vector.
+
+    A vector whose squared norm overflows or leaves the normal range is first
+    scaled by the power of two of its largest component, which is exact and
+    keeps the direction; any other vector is divided by sqrt(x*x + y*y + z*z).
+    """
     x, y, z = float(v[0]), float(v[1]), float(v[2])
-    n = math.sqrt(x * x + y * y + z * z)
-    if n == 0.0:
-        raise DegenerateGeometry("direction vector has zero norm")
+    s = x * x + y * y + z * z
+    if not _NORMAL_MIN <= s <= _NORMAL_MAX:  # also NaN
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+            raise DegenerateGeometry(f"direction vector has a non-finite component: {(x, y, z)}")
+        m = max(abs(x), abs(y), abs(z))
+        if m == 0.0:
+            raise DegenerateGeometry("direction vector has zero norm")
+        e = -math.frexp(m)[1]
+        x, y, z = math.ldexp(x, e), math.ldexp(y, e), math.ldexp(z, e)
+        s = x * x + y * y + z * z
+    n = math.sqrt(s)
     return (x / n, y / n, z / n)
 
 
@@ -65,8 +81,8 @@ class PolarPlacement:
     theta: float
 
     def __post_init__(self) -> None:
-        if not self.R > 0.0:
-            raise ValueError(f"R must be positive, got {self.R}")
+        if not 0.0 < self.R < math.inf:
+            raise ValueError(f"R must be positive and finite, got {self.R}")
         if not 0.0 <= self.theta <= 0.5 * math.pi:
             raise ValueError(f"theta must lie in [0, pi/2], got {self.theta}")
 
@@ -88,24 +104,7 @@ class GeometryAngles:
     beta: float
 
 
-@dataclass(frozen=True)
-class CanonicalTransform:
-    """Rotation about z followed by an optional z-mirror; fixes the transmit segment."""
-
-    z_rotation: float
-    z_mirror: bool
-
-    def apply_point(self, p: Sequence[float]) -> Vec3:
-        c, s = math.cos(self.z_rotation), math.sin(self.z_rotation)
-        x, y, z = float(p[0]), float(p[1]), float(p[2])
-        xr, yr = c * x - s * y, s * x + c * y
-        return (xr, yr, -z if self.z_mirror else z)
-
-    # Directions transform exactly like points (the map is linear).
-    apply_direction = apply_point
-
-
-def canonicalize(p: Sequence[float], v: Sequence[float]) -> tuple[PolarPlacement, Vec3, CanonicalTransform]:
+def canonicalize(p: Sequence[float], v: Sequence[float]) -> tuple[PolarPlacement, Vec3]:
     """Reduce an arbitrary placement to the canonical yOz first quadrant.
 
     Parameters
@@ -115,16 +114,17 @@ def canonicalize(p: Sequence[float], v: Sequence[float]) -> tuple[PolarPlacement
 
     Returns
     -------
-    (placement, direction, transform) where ``placement`` has x = 0,
-    y >= 0, z >= 0, ``direction`` is ``v`` mapped by the same transform,
-    and ``transform`` applied to the inputs reproduces the outputs.
-    The local spatial bandwidth is invariant under this reduction.  No
+    (placement, direction): a rotation about z, then a mirror z -> -z when
+    z < 0, takes ``p`` to ``placement.point()`` (x = 0, y >= 0, z >= 0) and
+    the unit ``v`` to ``direction``.  Both maps fix the transmit segment, so
+    the local spatial bandwidth is invariant under this reduction.  No
     segment test is made here; ``geometry_angles`` of the placement makes it.
     """
     x, y, z = float(p[0]), float(p[1]), float(p[2])
     vx, vy, vz = unit(v)
 
-    R = math.sqrt(x * x + y * y + z * z)
+    r2 = x * x + y * y + z * z  # hypot only where the squares leave the normal range, as in unit
+    R = math.sqrt(r2) if _NORMAL_MIN <= r2 <= _NORMAL_MAX else math.hypot(x, y, z)
     if R == 0.0:
         raise DegeneratePoint("observation point at the array origin")
 
@@ -133,17 +133,12 @@ def canonicalize(p: Sequence[float], v: Sequence[float]) -> tuple[PolarPlacement
         rot = math.remainder(0.5 * math.pi - math.atan2(y, x), 2.0 * math.pi)
         c, s = math.cos(rot), math.sin(rot)
         vx, vy = c * vx - s * vy, s * vx + c * vy
-    else:
-        rot = 0.0
-    y_c = rho  # exact: the rotation sends (x, y) to (0, hypot(x, y))
 
-    mirror = z < 0.0
-    z_c = -z if mirror else z
-    if mirror:
-        vz = -vz
+    if z < 0.0:
+        z, vz = -z, -vz
 
-    placement = PolarPlacement(R=R, theta=math.atan2(z_c, y_c))
-    return placement, (vx, vy, vz), CanonicalTransform(rot, mirror)
+    # exact: the rotation sends (x, y) to (0, rho)
+    return PolarPlacement(R=R, theta=math.atan2(z, rho)), (vx, vy, vz)
 
 
 def geometry_angles(placement: PolarPlacement, Ls: float, reach: float = 0.0) -> GeometryAngles:

@@ -47,7 +47,7 @@ import numpy as np
 from .bandwidth import OrientationAngles, orientation_angles
 from .channel import check_channel_size, grid_steps
 from .errors import DegenerateGeometry, DegeneratePoint, RangeError, SchemaError
-from .geometry import PolarPlacement, Vec3, geometry_angles, optimal_orientation, require_open_fan
+from .geometry import PolarPlacement, geometry_angles, optimal_orientation, require_open_fan
 from .knumber import DEFAULT_QUAD_POINTS, DEFAULT_SEARCH_GRID, MAX_GRID, MIN_SEARCH_AXIS
 from .numerics import QuadratureRule
 
@@ -110,9 +110,6 @@ class Scenario:
     sweep: SweepSpec = DEFAULT_KMAX_SWEEP
     theta_list: tuple[float, ...] = DEFAULT_KMAX_THETAS
     config_id: int = 0
-
-    def orientation_vector(self) -> Vec3:
-        return self.orientation.vector()
 
 
 def _require(doc: Mapping, key: str, path: str = "") -> object:

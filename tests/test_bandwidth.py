@@ -171,7 +171,7 @@ class TestClosedForm:
             p, v = random_case(rng)
             closed = local_bandwidth_closed(p, v, LS)
             oracle = local_bandwidth_oracle(p, v, LS, n)
-            placement, _, _ = canonicalize(p, v)
+            placement, _ = canonicalize(p, v)
             alpha = geometry_angles(placement, LS).alpha
             assert abs(closed - oracle) <= 2.0 * K0 * alpha / n + 1e-9
 
@@ -190,7 +190,7 @@ def objects_local_bandwidth_closed(p, v, Ls):
     omega_from_angles, as local_bandwidth_closed was before it took the fan
     from ``_fan_angles`` as two floats.
     """
-    placement, v_c, _ = canonicalize(p, v)
+    placement, v_c = canonicalize(p, v)
     h = 0.5 * Ls
     y = placement.R * math.cos(placement.theta)
     z = placement.R * math.sin(placement.theta)
@@ -239,7 +239,7 @@ class TestFanAnglesEntry:
     def test_rows_equal_the_object_composition(self, p, v):
         value = local_bandwidth_closed(p, v, LS)
         assert value == objects_local_bandwidth_closed(p, v, LS)
-        placement, _, _ = canonicalize(p, v)
+        placement, _ = canonicalize(p, v)
         ang = geometry_angles(placement, LS)
         assert _fan_angles(placement, LS) == (ang.alpha, ang.beta)
 

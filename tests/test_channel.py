@@ -40,26 +40,24 @@ def build_channel(R, theta, Ls, Lp, spacing, v=None):
 
 class TestAntennaGrid:
     def test_half_wavelength_count(self):
-        grid = antenna_grid(tx_segment(100.0), 0.5)
-        assert grid.count == 201
-        assert grid.positions.shape == (201, 3)
+        assert antenna_grid(tx_segment(100.0), 0.5).shape == (201, 3)
 
     def test_quarter_wavelength_count(self):
-        assert antenna_grid(tx_segment(100.0), 0.25).count == 401
+        assert len(antenna_grid(tx_segment(100.0), 0.25)) == 401
 
     def test_single_antenna(self):
         grid = antenna_grid(tx_segment(0.0), 0.5)
-        assert grid.count == 1
-        assert grid.positions[0] == pytest.approx((0.0, 0.0, 0.0))
+        assert grid.shape == (1, 3)
+        assert grid[0] == pytest.approx((0.0, 0.0, 0.0))
 
     def test_symmetric_and_uniform(self):
         seg = ArraySegment((1.0, 2.0, 3.0), (0.0, 1.0, 0.0), 10.0)
         grid = antenna_grid(seg, 0.5)
-        assert grid.positions.mean(axis=0) == pytest.approx((1.0, 2.0, 3.0))
-        steps = np.diff(grid.positions, axis=0)
+        assert grid.mean(axis=0) == pytest.approx((1.0, 2.0, 3.0))
+        steps = np.diff(grid, axis=0)
         assert steps == pytest.approx(np.tile([0.0, 0.5, 0.0], (20, 1)))
-        assert grid.positions[0] == pytest.approx((1.0, -3.0, 3.0))
-        assert grid.positions[-1] == pytest.approx((1.0, 7.0, 3.0))
+        assert grid[0] == pytest.approx((1.0, -3.0, 3.0))
+        assert grid[-1] == pytest.approx((1.0, 7.0, 3.0))
 
     def test_non_integer_ratio_rejected(self):
         with pytest.raises(NonIntegerGrid):

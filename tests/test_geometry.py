@@ -10,10 +10,12 @@ from nfdof import (
     PolarPlacement,
     canonicalize,
     geometry_angles,
+    local_bandwidth_closed,
     local_bandwidth_oracle,
     max_bandwidth,
     optimal_orientation,
     subtended_angle_oracle,
+    unit,
 )
 from nfdof.errors import DegenerateGeometry, DegeneratePoint
 
@@ -32,15 +34,15 @@ def random_placement(rng, r_lo=60.0, r_hi=2000.0):
 
 class TestCanonicalize:
     def test_already_canonical_is_identity(self):
-        placement, v, transform = canonicalize((0.0, 500.0, 0.0), (0.0, 0.0, 1.0))
+        placement, v = canonicalize((0.0, 500.0, 0.0), (0.0, 0.0, 1.0))
         assert placement.R == pytest.approx(500.0, abs=0.0)
         assert placement.theta == pytest.approx(0.0, abs=0.0)
-        assert v == pytest.approx((0.0, 0.0, 1.0))
-        assert transform.z_rotation == pytest.approx(0.0)
-        assert not transform.z_mirror
+        # a zero rotation and no mirror: point and direction come back unchanged
+        assert placement.point() == (0.0, 500.0, 0.0)
+        assert v == (0.0, 0.0, 1.0)
 
     def test_x_axis_point_rotates_onto_y(self):
-        placement, v, transform = canonicalize((500.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+        placement, v = canonicalize((500.0, 0.0, 0.0), (0.0, 1.0, 0.0))
         assert placement.R == pytest.approx(500.0)
         assert placement.theta == pytest.approx(0.0, abs=1e-15)
         # the rotated direction must be +-x (a quarter turn of y)
@@ -52,16 +54,19 @@ class TestCanonicalize:
         assert after == pytest.approx(before, abs=1e-9)
 
     def test_negative_z_is_mirrored(self):
-        placement, v, transform = canonicalize((0.0, 300.0, -400.0), (0.0, 0.0, 1.0))
+        placement, v = canonicalize((0.0, 300.0, -400.0), (0.0, 0.0, 1.0))
         assert placement.R == pytest.approx(500.0)
         assert placement.theta == pytest.approx(math.atan2(400.0, 300.0))
-        assert v == pytest.approx((0.0, 0.0, -1.0))
-        assert transform.z_mirror
+        # no rotation, and the mirror flips the z of both point and direction
+        assert placement.point() == pytest.approx((0.0, 300.0, 400.0))
+        assert v == (0.0, 0.0, -1.0)
         before = local_bandwidth_oracle((0.0, 300.0, -400.0), (0.0, 0.0, 1.0), LS, 4001)
         after = local_bandwidth_oracle(placement.point(), v, LS, 4001)
         assert after == pytest.approx(before, abs=1e-9)
 
     def test_transform_reproduces_canonical_pair(self):
+        # a rotation about z and a z-mirror send p to (0, rho, |z|); the products
+        # below, kept by both maps, then fix v_c: its z, its x, its y, its norm
         rng = np.random.default_rng(7)
         for _ in range(2000):
             p = rng.uniform(-800.0, 800.0, size=3)
@@ -69,10 +74,15 @@ class TestCanonicalize:
                 continue
             v = rng.normal(size=3)
             v /= np.linalg.norm(v)
-            placement, v_c, transform = canonicalize(p, v)
-            p_c = transform.apply_point(p)
-            assert p_c == pytest.approx(placement.point(), abs=1e-9)
-            assert transform.apply_direction(v) == pytest.approx(v_c, abs=1e-12)
+            placement, v_c = canonicalize(p, v)
+            x, y, z = p
+            rho = math.hypot(x, y)
+            p_c = placement.point()
+            assert p_c == pytest.approx((0.0, rho, abs(z)), abs=1e-9)
+            assert float(np.dot(p, v)) == pytest.approx(float(np.dot(p_c, v_c)), abs=1e-9)
+            assert z * v[2] == pytest.approx(p_c[2] * v_c[2], abs=1e-9)
+            assert x * v[1] - y * v[0] == pytest.approx(-rho * v_c[0], abs=1e-9)
+            assert math.sqrt(sum(c * c for c in v_c)) == pytest.approx(1.0, abs=1e-12)
 
     def test_bandwidth_preserved_for_random_3d_placements(self):
         # oracle in the original frame vs oracle in the canonical frame,
@@ -90,7 +100,7 @@ class TestCanonicalize:
             )
             v = rng.normal(size=3)
             v /= np.linalg.norm(v)
-            placement, v_c, _ = canonicalize(p, v)
+            placement, v_c = canonicalize(p, v)
             before = local_bandwidth_oracle(p, v, LS, 2001)
             after = local_bandwidth_oracle(placement.point(), v_c, LS, 2001)
             assert after == pytest.approx(before, rel=1e-9, abs=1e-12)
@@ -102,12 +112,12 @@ class TestCanonicalize:
     def test_point_on_segment_rejected(self):
         # canonicalize makes no segment test; geometry_angles of its placement is the one
         for p in ((0.0, 0.0, 30.0), (0.0, 5e-10, 30.0), (3e-10, -4e-10, -30.0)):
-            placement, _, _ = canonicalize(p, (0.0, 1.0, 0.0))
+            placement, _ = canonicalize(p, (0.0, 1.0, 0.0))
             with pytest.raises(DegeneratePoint, match="intersects the transmit segment"):
                 geometry_angles(placement, LS)
 
     def test_point_just_outside_band_accepted(self):
-        placement, _, _ = canonicalize((0.0, 1e-6, 30.0), (0.0, 1.0, 0.0))
+        placement, _ = canonicalize((0.0, 1e-6, 30.0), (0.0, 1.0, 0.0))
         assert geometry_angles(placement, LS).alpha > 0.0
 
 
@@ -254,6 +264,58 @@ class TestArraySegment:
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
             ArraySegment((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), -1.0)
+
+
+class TestUnit:
+    def test_normal_range_divides_by_the_sqrt_of_the_squares(self):
+        # bit for bit the form every output was computed with
+        rng = np.random.default_rng(8)
+        for _ in range(2000):
+            x, y, z = (float(c) for c in rng.normal(size=3) * 10.0 ** rng.uniform(-150, 150))
+            n = math.sqrt(x * x + y * y + z * z)
+            assert unit((x, y, z)) == (x / n, y / n, z / n)
+
+    def test_huge_direction_keeps_its_bandwidth(self):
+        # the squares of 1e200 overflow; the direction is still (1, 1, 0)
+        huge = local_bandwidth_closed((0.0, 300.0, 0.0), (1e200, 1e200, 0.0), LS)
+        plain = local_bandwidth_closed((0.0, 300.0, 0.0), (1.0, 1.0, 0.0), LS)
+        assert plain == pytest.approx(0.0605, abs=1e-4)
+        assert huge == pytest.approx(plain, rel=1e-14)
+        assert unit((1e308, -1e308, 1e308)) == pytest.approx((3**-0.5, -(3**-0.5), 3**-0.5), rel=1e-15)
+
+    def test_tiny_direction_is_normalized(self):
+        # the squares of 3e-170 and 4e-170 underflow to subnormal or zero
+        assert unit((3e-170, 4e-170, 0.0)) == pytest.approx((0.6, 0.8, 0.0), rel=1e-15)
+        assert unit((0.0, -5e-324, 0.0)) == (0.0, -1.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_non_finite_component_rejected(self, bad, axis):
+        v = [1.0, 2.0, 3.0]
+        v[axis] = bad
+        with pytest.raises(DegenerateGeometry, match="^direction vector has a non-finite component"):
+            unit(v)
+        with pytest.raises(DegenerateGeometry, match="^direction vector has a non-finite component"):
+            local_bandwidth_closed((0.0, 300.0, 0.0), v, LS)
+
+
+class TestPolarPlacement:
+    @pytest.mark.parametrize("R", [math.inf, math.nan, 0.0, -1.0])
+    def test_non_finite_or_non_positive_R_rejected(self, R):
+        with pytest.raises(ValueError, match="^R must be positive"):
+            PolarPlacement(R, 0.0)
+
+    @pytest.mark.parametrize("p", [(1e150, 0.0, 0.0), (1e200, 0.0, 0.0), (0.0, -1e300, 0.0)])
+    def test_far_finite_point_keeps_its_bandwidth(self, p):
+        # the squared distance of the last two overflows; broadside, v along z reads K0 Ls / R
+        R = max(map(abs, p))
+        assert local_bandwidth_closed(p, (0.0, 0.0, 1.0), LS) == pytest.approx(2.0 * math.pi * LS / R, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [(math.inf, 0.0, 0.0), (0.0, -math.inf, 5.0), (math.nan, 300.0, 0.0)])
+    def test_non_finite_point_rejected(self, p):
+        # inf * cos(0) fed a NaN into the fan, and the bandwidth read 0.0
+        with pytest.raises(ValueError):
+            local_bandwidth_closed(p, (0.0, 0.0, 1.0), LS)
 
 
 class TestSubtendedAngleOracle:

@@ -84,7 +84,7 @@ class TestParseScenario:
 
     def test_optimal_orientation_resolved(self):
         sc = parse_scenario(scenario_text(placement={"R": 500, "theta": math.pi / 3}))
-        v = sc.orientation_vector()
+        v = sc.orientation.vector()
         assert v == pytest.approx((0.0, -0.8638413220068705, 0.5037640026772678), abs=1e-9)
         assert v == pytest.approx((0.0, -0.86395, 0.50358), abs=2e-4)
 
