@@ -29,7 +29,6 @@ from .channel import (
 )
 from .geometry import (
     ArraySegment,
-    GeometryAngles,
     K0,
     PolarPlacement,
     canonicalize,
@@ -39,7 +38,6 @@ from .geometry import (
     unit,
 )
 from .knumber import (
-    KMethod,
     KNumber,
     OrientationSearchResult,
     k_number_center,
@@ -55,7 +53,6 @@ __all__ = [
     "__version__",
     "K0",
     "ArraySegment",
-    "GeometryAngles",
     "PolarPlacement",
     "canonicalize",
     "geometry_angles",
@@ -73,7 +70,6 @@ __all__ = [
     "orientation_angles",
     "reduce_phi_prime",
     "spatial_frequency",
-    "KMethod",
     "KNumber",
     "OrientationSearchResult",
     "k_number_center",

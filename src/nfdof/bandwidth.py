@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegeneratePoint
-from .geometry import K0, Vec3, _fan_angles, canonicalize, unit
+from .geometry import K0, Vec3, canonicalize, geometry_angles, unit
 
 DEFAULT_ORACLE_SAMPLES = 100_000
 
@@ -132,10 +132,10 @@ def local_bandwidth_closed(p: Sequence[float], v: Sequence[float], Ls: float) ->
 
     The placement is first reduced to the canonical frame; a collinear
     placement (zero fan) or a direction along the segment gives 0.  The
-    segment test and fan are ``geometry._fan_angles``, as two floats.
+    segment test and the fan ``(alpha, beta)`` are ``geometry_angles``.
     """
     placement, v_c = canonicalize(p, v)
-    alpha, beta = _fan_angles(placement, Ls)
+    alpha, beta = geometry_angles(placement, Ls)
     psi, phi = _direction_angles(v_c)
     return omega_from_angles(psi, reduce_phi_prime(phi, beta), alpha)
 

@@ -7,7 +7,9 @@ Conventions used throughout the package:
 * observation points are reduced to the first quadrant of the yOz plane
   (x = 0, y >= 0, z >= 0) by a rotation about z plus an optional z-mirror,
   both of which leave the transmit segment (and hence every propagation
-  angle) unchanged.
+  angle) unchanged;
+* the fan of arrival directions at a placement is the pair ``(alpha, beta)``
+  of two floats from ``geometry_angles``, the one fan function.
 """
 
 from __future__ import annotations
@@ -90,20 +92,6 @@ class PolarPlacement:
         return (0.0, self.R * math.cos(self.theta), self.R * math.sin(self.theta))
 
 
-@dataclass(frozen=True)
-class GeometryAngles:
-    """Angle pair describing the fan of arrival directions at a point.
-
-    ``alpha`` is the angle subtended by the transmit segment's endpoints,
-    ``beta`` the tilt of the fan bisector from the +y axis.  The arrival
-    direction angles (from +y, in the yOz plane) span
-    [beta - alpha/2, beta + alpha/2].
-    """
-
-    alpha: float
-    beta: float
-
-
 def canonicalize(p: Sequence[float], v: Sequence[float]) -> tuple[PolarPlacement, Vec3]:
     """Reduce an arbitrary placement to the canonical yOz first quadrant.
 
@@ -141,19 +129,18 @@ def canonicalize(p: Sequence[float], v: Sequence[float]) -> tuple[PolarPlacement
     return PolarPlacement(R=R, theta=math.atan2(z, rho)), (vx, vy, vz)
 
 
-def geometry_angles(placement: PolarPlacement, Ls: float, reach: float = 0.0) -> GeometryAngles:
-    """Compute (alpha, beta) for a canonical placement and transmit length.
+def geometry_angles(placement: PolarPlacement, Ls: float, reach: float = 0.0) -> tuple[float, float]:
+    """The fan of arrival directions at a canonical placement, as ``(alpha, beta)``.
 
-    The package's one segment test and fan formula are ``_fan_angles``: a
-    placement within ``reach`` (Lp/2 for a receive array centered there) plus
-    ``SEGMENT_TOL`` of the segment raises DegeneratePoint.  On the z-axis beyond
-    the segment tip all arrival directions are parallel: alpha = 0, beta = pi/2.
+    ``alpha`` is the angle subtended by the transmit segment's endpoints,
+    ``beta`` the tilt of the fan bisector from the +y axis; the arrival
+    direction angles (from +y, in the yOz plane) span
+    [beta - alpha/2, beta + alpha/2].  This is the package's one segment test
+    and fan formula: a placement within ``reach`` (Lp/2 for a receive array
+    centered there) plus ``SEGMENT_TOL`` of the segment raises DegeneratePoint.
+    On the z-axis beyond the segment tip all arrival directions are parallel:
+    alpha = 0, beta = pi/2.
     """
-    return GeometryAngles(*_fan_angles(placement, Ls, reach))
-
-
-def _fan_angles(placement: PolarPlacement, Ls: float, reach: float = 0.0) -> tuple[float, float]:
-    """(alpha, beta) of ``geometry_angles`` as two floats, for the per-node bandwidth call."""
     if Ls <= 0.0:
         raise ValueError(f"Ls must be positive, got {Ls}")
     h = 0.5 * Ls
@@ -188,14 +175,14 @@ def subtended_angle_oracle(
     return math.atan2(math.sqrt(cx * cx + cy * cy + cz * cz), dot)
 
 
-def require_open_fan(angles: GeometryAngles) -> GeometryAngles:
-    """``angles`` if the fan is open; a zero fan (on the segment's axis) raises DegenerateGeometry."""
-    if angles.alpha <= 0.0:
+def require_open_fan(angles: tuple[float, float]) -> tuple[float, float]:
+    """``(alpha, beta)`` if the fan is open; a zero fan (on the segment's axis) raises DegenerateGeometry."""
+    if angles[0] <= 0.0:
         raise DegenerateGeometry("the segment subtends a zero angle; every orientation has zero bandwidth")
     return angles
 
 
-def optimal_orientation(angles: GeometryAngles) -> Vec3:
-    """Bandwidth-maximizing receive direction: in plane, perpendicular to the fan bisector."""
-    beta = require_open_fan(angles).beta
+def optimal_orientation(angles: tuple[float, float]) -> Vec3:
+    """Bandwidth-maximizing receive direction for ``(alpha, beta)``: in plane, perpendicular to the bisector."""
+    beta = require_open_fan(angles)[1]
     return (0.0, -math.sin(beta), math.cos(beta))

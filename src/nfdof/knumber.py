@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -25,16 +24,9 @@ MAX_GRID = 1024  # per axis: a 1024 x 1024 search is 256 times the default one
 _REFINE_POINTS = 21  # spans one coarse cell on each side of the best point
 
 
-class KMethod(Enum):
-    NUMERIC = "numeric"
-    CENTER_APPROX = "center-approx"
-    CENTER_APPROX_MAX = "center-approx-max"
-
-
 @dataclass(frozen=True)
 class KNumber:
     value: float
-    method: KMethod
 
 
 @dataclass(frozen=True)
@@ -58,19 +50,19 @@ def k_number_numeric(
 
     half = 0.5 * receiver.length
     value = integrate(omega_at, -half, half, rule) / (2.0 * math.pi)
-    return KNumber(value=value, method=KMethod.NUMERIC)
+    return KNumber(value)
 
 
 def k_number_center(receiver: ArraySegment, Ls: float) -> KNumber:
     """Center approximation: (Lp / 2pi) times the bandwidth at the array center."""
     omega = local_bandwidth_closed(receiver.center, receiver.direction, Ls)
-    return KNumber(value=receiver.length * omega / (2.0 * math.pi), method=KMethod.CENTER_APPROX)
+    return KNumber(receiver.length * omega / (2.0 * math.pi))
 
 
 def k_number_max(placement: PolarPlacement, Lp: float, Ls: float) -> KNumber:
     """Center approximation at the optimal orientation: (Lp / 2pi) max_bandwidth(alpha)."""
-    value = Lp * max_bandwidth(require_open_fan(geometry_angles(placement, Ls)).alpha) / (2.0 * math.pi)
-    return KNumber(value=value, method=KMethod.CENTER_APPROX_MAX)
+    alpha, _ = require_open_fan(geometry_angles(placement, Ls))
+    return KNumber(Lp * max_bandwidth(alpha) / (2.0 * math.pi))
 
 
 def maximize_k(
@@ -91,7 +83,7 @@ def maximize_k(
     n_psi, n_phi = grid
     if not MIN_SEARCH_AXIS <= min(grid) <= max(grid) <= MAX_GRID:
         raise ValueError(f"each search grid axis must lie in [{MIN_SEARCH_AXIS}, {MAX_GRID}], got {grid}")
-    beta = require_open_fan(geometry_angles(placement, Ls, 0.5 * Lp)).beta
+    _, beta = require_open_fan(geometry_angles(placement, Ls, 0.5 * Lp))
     p0 = placement.point()
 
     def orientation(psi: float, phi_prime: float) -> OrientationAngles:
@@ -123,6 +115,6 @@ def maximize_k(
     k_best, psi_best, pp_best = scan(fine_psis, fine_phis, best)
     return OrientationSearchResult(
         best_orientation=orientation(psi_best, pp_best),
-        best_k=KNumber(value=k_best, method=KMethod.NUMERIC),
+        best_k=KNumber(k_best),
         grid_resolution=(n_psi, n_phi),
     )

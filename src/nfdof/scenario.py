@@ -68,7 +68,8 @@ _EVERY_FIELD = frozenset().union(*READS.values())
 
 @dataclass(frozen=True)
 class SweepSpec:
-    variable: str
+    """A swept R: ``count`` values from ``start`` to ``stop``."""
+
     start: float
     stop: float
     count: int
@@ -84,7 +85,7 @@ class SweepSpec:
         return np.linspace(self.start, self.stop, self.count)
 
 
-DEFAULT_KMAX_SWEEP = SweepSpec("R", 300.0, 1000.0, 15)  # also gives the default sweep.count
+DEFAULT_KMAX_SWEEP = SweepSpec(300.0, 1000.0, 15)  # also gives the default sweep.count
 DEFAULT_KMAX_THETAS = (0.0, math.pi / 6.0, math.pi / 3.0)
 
 
@@ -216,7 +217,7 @@ def _channel_scenario(doc: Mapping, config_id: int = 0, path: str = "") -> Scena
 def _sweep(sdoc: object, path: str) -> SweepSpec:
     if not isinstance(sdoc, dict):
         raise SchemaError(f"{path}sweep: expected an object")
-    variable = _require(sdoc, "variable", path + "sweep.")
+    variable = _require(sdoc, "variable", path + "sweep.")  # the one sweep is R's; a document says so
     if variable not in ("R",):
         raise SchemaError(f'{path}sweep.variable: only "R" sweeps are supported, got {variable!r}')
     start = _positive(_require(sdoc, "start", path + "sweep."), path + "sweep.start")
@@ -224,7 +225,7 @@ def _sweep(sdoc: object, path: str) -> SweepSpec:
     if stop < start:
         raise RangeError(f"{path}sweep.stop: {stop} must be >= start {start}")
     count = _integer(sdoc.get("count", DEFAULT_KMAX_SWEEP.count), path + "sweep.count")
-    return _checked(path + "sweep.count", SweepSpec, str(variable), start, stop, count)
+    return _checked(path + "sweep.count", SweepSpec, start, stop, count)
 
 
 def _scenario_from_dict(doc: Mapping, reads: Collection[str], config_id: int = 0, path: str = "") -> Scenario:

@@ -90,7 +90,7 @@ def check_closed_vs_oracle(seed: int, n_cases: int) -> CheckResult:
         p, v = _random_config(rng)
         closed = local_bandwidth_closed(p, v, LS)
         oracle = local_bandwidth_oracle(p, v, LS, DEFAULT_ORACLE_SAMPLES)
-        alpha = geometry_angles(canonicalize(p, v)[0], LS).alpha
+        alpha, _ = geometry_angles(canonicalize(p, v)[0], LS)
         bound = 2.0 * K0 * alpha / DEFAULT_ORACLE_SAMPLES + ROUNDOFF_FLOOR
         deviation = abs(closed - oracle)
         if deviation * tol >= worst * bound:  # report the case nearest its bound
@@ -104,15 +104,15 @@ def check_angles(seed: int, n_cases: int) -> CheckResult:
     worst = 0.0
     for _ in range(n_cases):
         placement = _random_placement(rng, 0.5 * math.pi * 0.999999)
-        ang = geometry_angles(placement, LS)
+        alpha, beta = geometry_angles(placement, LS)
         P = placement.point()
         ref = subtended_angle_oracle(P, (0.0, 0.0, 0.5 * LS), (0.0, 0.0, -0.5 * LS))
-        worst = max(worst, abs(ang.alpha - ref))
-        if ang.alpha > 0.0:
+        worst = max(worst, abs(alpha - ref))
+        if alpha > 0.0:
             ra = _arrival_direction(P, 0.5 * LS)
             rb = _arrival_direction(P, -0.5 * LS)
             by, bz = ra[0] + rb[0], ra[1] + rb[1]
-            worst = max(worst, abs(ang.beta - math.atan2(bz, by)))
+            worst = max(worst, abs(beta - math.atan2(bz, by)))
     return _result("geometry angles vs oracles", n_cases, worst, 1e-12)
 
 
@@ -130,7 +130,7 @@ def check_orientation_maximum(seed: int, n_cases: int) -> CheckResult:
     h = math.pi / (MAXIMUM_GRID - 1)
     tol = K0 * h * h + ROUNDOFF_FLOOR  # quadratic dip of the max between grid nodes
     for _ in range(n_cases):
-        alpha = geometry_angles(_random_placement(rng, 0.5 * math.pi * 0.98), LS).alpha
+        alpha, _ = geometry_angles(_random_placement(rng, 0.5 * math.pi * 0.98), LS)
         grid_max = float(omega_grid(psis, phis, alpha).max())
         worst = max(worst, abs(grid_max - max_bandwidth(alpha)))
     return _result("orientation maximum vs closed grid", n_cases, worst, tol)

@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 from nfdof import (
     K0,
+    ArraySegment,
     OrientationAngles,
     PolarPlacement,
     canonicalize,
     fmax_fmin,
     geometry_angles,
+    k_number_numeric,
     local_bandwidth_closed,
     local_bandwidth_oracle,
     max_bandwidth,
@@ -28,7 +30,7 @@ from nfdof import (
 )
 from nfdof.bandwidth import _direction_angles
 from nfdof.errors import DegeneratePoint
-from nfdof.geometry import SEGMENT_TOL, _fan_angles
+from nfdof.geometry import SEGMENT_TOL
 
 LS = 100.0
 
@@ -172,7 +174,7 @@ class TestClosedForm:
             closed = local_bandwidth_closed(p, v, LS)
             oracle = local_bandwidth_oracle(p, v, LS, n)
             placement, _ = canonicalize(p, v)
-            alpha = geometry_angles(placement, LS).alpha
+            alpha, _ = geometry_angles(placement, LS)
             assert abs(closed - oracle) <= 2.0 * K0 * alpha / n + 1e-9
 
     def test_collinear_placement_gives_zero(self):
@@ -184,11 +186,10 @@ class TestClosedForm:
 
 
 def objects_local_bandwidth_closed(p, v, Ls):
-    """The per-node composition that built a GeometryAngles object, with its fan formula inlined.
+    """The per-node composition with its fan formula inlined.
 
     canonicalize -> geometry_angles -> _direction_angles -> reduce_phi_prime ->
-    omega_from_angles, as local_bandwidth_closed was before it took the fan
-    from ``_fan_angles`` as two floats.
+    omega_from_angles, written out independently of local_bandwidth_closed.
     """
     placement, v_c = canonicalize(p, v)
     h = 0.5 * Ls
@@ -214,7 +215,7 @@ coord = st.floats(-3000.0, 3000.0, allow_nan=False)
 
 
 class TestFanAnglesEntry:
-    """local_bandwidth_closed reads the fan as two floats and equals the object composition bit for bit."""
+    """local_bandwidth_closed reads the fan from geometry_angles and equals the inlined composition bit for bit."""
 
     @settings(max_examples=500, derandomize=True, database=None, deadline=None)
     @given(
@@ -240,21 +241,35 @@ class TestFanAnglesEntry:
         value = local_bandwidth_closed(p, v, LS)
         assert value == objects_local_bandwidth_closed(p, v, LS)
         placement, _ = canonicalize(p, v)
-        ang = geometry_angles(placement, LS)
-        assert _fan_angles(placement, LS) == (ang.alpha, ang.beta)
+        fan = geometry_angles(placement, LS)
+        assert type(fan) is tuple and [type(x) for x in fan] == [float, float]  # two floats, no box
 
     def test_z_axis_beyond_the_tip_has_a_zero_fan(self):
         placement = PolarPlacement(300.0, 0.5 * math.pi)
-        assert _fan_angles(placement, LS)[0] == 0.0
+        assert geometry_angles(placement, LS)[0] == 0.0
         assert local_bandwidth_closed((0.0, 0.0, 300.0), (0.0, 1.0, 0.0), LS) == 0.0
 
-    @pytest.mark.parametrize("entry", [geometry_angles, _fan_angles])
-    def test_both_entries_keep_the_segment_texts(self, entry):
+    def test_keeps_the_segment_texts(self):
         with pytest.raises(DegeneratePoint, match="^placement intersects the transmit segment$"):
-            entry(PolarPlacement(30.0, 0.5 * math.pi), LS)
+            geometry_angles(PolarPlacement(30.0, 0.5 * math.pi), LS)
         message = "^the receive array reaches the transmit segment: distance 40 <= Lp/2 = 50$"
         with pytest.raises(DegeneratePoint, match=message):
-            entry(PolarPlacement(40.0, 0.0), LS, 0.5 * 100.0)
+            geometry_angles(PolarPlacement(40.0, 0.0), LS, 0.5 * 100.0)
+
+    def test_each_node_calls_the_module_binding(self, monkeypatch):
+        # one call per node plus integrate's second f(b): a node fan that bypasses the
+        # public name hides it from anything that wraps nfdof.bandwidth.geometry_angles
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return geometry_angles(*args)
+
+        monkeypatch.setattr("nfdof.bandwidth.geometry_angles", counted)
+        placement = PolarPlacement(500.0, 0.3)
+        seg = ArraySegment(placement.point(), optimal_orientation(geometry_angles(placement, LS)), 100.0)
+        k_number_numeric(seg, LS, 65)
+        assert len(calls) == 66
 
     def test_closed_form_keeps_the_on_segment_text(self):
         with pytest.raises(DegeneratePoint, match="^placement intersects the transmit segment$"):
@@ -459,9 +474,9 @@ class TestOrientationRecovery:
         with mpmath.workdps(40):
             vx, vy, vz = (mpmath.mpf(c) for c in v)
             psi_ref = mpmath.atan2(mpmath.hypot(vy, vz), vx)
-        ang = geometry_angles(canonicalize(p, v)[0], LS)
-        phi_prime = reduce_phi_prime(math.atan2(v[2], v[1]), ang.beta)
-        omega_ref = omega_mpmath(psi_ref, phi_prime, ang.alpha)
+        alpha, beta = geometry_angles(canonicalize(p, v)[0], LS)
+        phi_prime = reduce_phi_prime(math.atan2(v[2], v[1]), beta)
+        omega_ref = omega_mpmath(psi_ref, phi_prime, alpha)
         bound = 1e-13 + 2.0 * math.ulp(psi) / min(psi, math.pi - psi)
         assert abs(orientation_angles(v).psi - psi_ref) <= 2.0 * math.ulp(psi)
         assert abs(local_bandwidth_closed(p, v, LS) - omega_ref) <= bound * omega_ref

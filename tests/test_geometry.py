@@ -118,34 +118,34 @@ class TestCanonicalize:
 
     def test_point_just_outside_band_accepted(self):
         placement, _ = canonicalize((0.0, 1e-6, 30.0), (0.0, 1.0, 0.0))
-        assert geometry_angles(placement, LS).alpha > 0.0
+        assert geometry_angles(placement, LS)[0] > 0.0
 
 
 class TestGeometryAngles:
     def test_broadside(self):
-        ang = geometry_angles(PolarPlacement(500.0, 0.0), LS)
+        alpha, beta = geometry_angles(PolarPlacement(500.0, 0.0), LS)
         A, B = endpoints()
-        assert ang.alpha == pytest.approx(2.0 * math.atan(0.1), abs=1e-14)
-        assert ang.alpha == pytest.approx(
+        assert alpha == pytest.approx(2.0 * math.atan(0.1), abs=1e-14)
+        assert alpha == pytest.approx(
             subtended_angle_oracle((0.0, 500.0, 0.0), A, B), abs=1e-12
         )
-        assert ang.beta == 0.0
+        assert beta == 0.0
 
     def test_oblique(self):
         placement = PolarPlacement(500.0, math.pi / 3.0)
-        ang = geometry_angles(placement, LS)
+        alpha, beta = geometry_angles(placement, LS)
         A, B = endpoints()
-        assert ang.alpha == pytest.approx(
+        assert alpha == pytest.approx(
             subtended_angle_oracle(placement.point(), A, B), abs=1e-12
         )
         # frozen from the cross/dot and bisector oracles
-        assert ang.alpha == pytest.approx(0.10066865215782894, abs=1e-12)
-        assert ang.beta == pytest.approx(1.0428457746337723, abs=1e-12)
+        assert alpha == pytest.approx(0.10066865215782894, abs=1e-12)
+        assert beta == pytest.approx(1.0428457746337723, abs=1e-12)
 
     def test_collinear_beyond_tip(self):
-        ang = geometry_angles(PolarPlacement(500.0, 0.5 * math.pi), LS)
-        assert ang.alpha == 0.0
-        assert ang.beta == pytest.approx(0.5 * math.pi)
+        alpha, beta = geometry_angles(PolarPlacement(500.0, 0.5 * math.pi), LS)
+        assert alpha == 0.0
+        assert beta == pytest.approx(0.5 * math.pi)
 
     def test_on_segment_rejected(self):
         with pytest.raises(DegeneratePoint):
@@ -170,42 +170,42 @@ class TestGeometryAngles:
         A, B = endpoints()
         for _ in range(10_000):
             placement = random_placement(rng)
-            ang = geometry_angles(placement, LS)
+            alpha, _ = geometry_angles(placement, LS)
             ref = subtended_angle_oracle(placement.point(), A, B)
-            assert abs(ang.alpha - ref) <= 1e-12
+            assert abs(alpha - ref) <= 1e-12
 
     def test_beta_matches_bisector_oracle(self):
         rng = np.random.default_rng(4)
         for _ in range(10_000):
             placement = random_placement(rng)
-            ang = geometry_angles(placement, LS)
-            if ang.alpha == 0.0:
+            alpha, beta = geometry_angles(placement, LS)
+            if alpha == 0.0:
                 continue
             P = placement.point()
             ra = _arrival(P, 0.5 * LS)
             rb = _arrival(P, -0.5 * LS)
             by, bz = ra[0] + rb[0], ra[1] + rb[1]
-            assert abs(ang.beta - math.atan2(bz, by)) <= 1e-12
+            assert abs(beta - math.atan2(bz, by)) <= 1e-12
 
     def test_alpha_strictly_decreasing_in_distance(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             theta = rng.uniform(0.0, 0.5 * math.pi * 0.99)
             rs = np.linspace(60.0, 5000.0, 40)
-            alphas = [geometry_angles(PolarPlacement(float(R), theta), LS).alpha for R in rs]
+            alphas = [geometry_angles(PolarPlacement(float(R), theta), LS)[0] for R in rs]
             assert all(a > b for a, b in zip(alphas, alphas[1:]))
-        far = geometry_angles(PolarPlacement(1e9, 0.3), LS).alpha
+        far, _ = geometry_angles(PolarPlacement(1e9, 0.3), LS)
         assert far < 2e-7
 
     def test_equal_alpha_on_circumcircle_arc(self):
         # circle through the endpoints with center (0, 37.5, 0), radius 62.5:
         # every first-quadrant point of it sees the segment under the same angle
-        base = geometry_angles(PolarPlacement(100.0, 0.0), LS)
+        base, _ = geometry_angles(PolarPlacement(100.0, 0.0), LS)
         for y, z in ((87.5, 37.5), (55.0, 60.0), (75.0, 50.0)):
             placement = PolarPlacement(math.hypot(y, z), math.atan2(z, y))
-            ang = geometry_angles(placement, LS)
-            assert abs(ang.alpha - base.alpha) <= 1e-12
-            assert abs(max_bandwidth(ang.alpha) - max_bandwidth(base.alpha)) <= 1e-12
+            alpha, _ = geometry_angles(placement, LS)
+            assert abs(alpha - base) <= 1e-12
+            assert abs(max_bandwidth(alpha) - max_bandwidth(base)) <= 1e-12
 
 
 class TestOptimalOrientation:
@@ -214,16 +214,12 @@ class TestOptimalOrientation:
         assert optimal_orientation(ang) == pytest.approx((0.0, 0.0, 1.0))
 
     def test_quarter_turn(self):
-        from nfdof import GeometryAngles
-
-        assert optimal_orientation(GeometryAngles(alpha=0.1, beta=0.5 * math.pi)) == pytest.approx(
+        assert optimal_orientation((0.1, 0.5 * math.pi)) == pytest.approx(
             (0.0, -1.0, 0.0)
         )
 
     def test_matches_rounded_tilt_value(self):
-        from nfdof import GeometryAngles
-
-        v = optimal_orientation(GeometryAngles(alpha=0.1, beta=1.04296))
+        v = optimal_orientation((0.1, 1.04296))
         assert v == pytest.approx((0.0, -0.86395, 0.50358), abs=1e-4)
 
     def test_is_argmax_of_oracle_bandwidth(self):

@@ -136,26 +136,40 @@ class TestParseScenario:
     @pytest.mark.parametrize("count", [7, 13, 29, 100])
     def test_sweep_ends_at_stop(self, count):
         # start + i * step misses 1.0 by an ulp at these counts
-        vals = SweepSpec("R", 0.1, 1.0, count).values()
+        vals = SweepSpec(0.1, 1.0, count).values()
         assert len(vals) == count
         assert vals[0] == 0.1 and vals[-1] == 1.0
 
     @pytest.mark.parametrize("count", [0, MAX_SWEEP_COUNT + 1])
     def test_sweep_spec_count_outside_bounds_rejected(self, count):
         with pytest.raises(ValueError, match="sweep count"):
-            SweepSpec("R", 300.0, 1000.0, count)
+            SweepSpec(300.0, 1000.0, count)
 
     def test_one_value_sweep_needs_stop_equal_to_start(self, tmp_path, capsys):
         # one value cannot be both start and stop, so stop would be dropped
         with pytest.raises(ValueError, match=r"^a sweep of count 1 needs stop == start, got 50.0 to 100.0$"):
-            SweepSpec("R", 50.0, 100.0, 1)
+            SweepSpec(50.0, 100.0, 1)
         with pytest.raises(RangeError, match=r"^sweep\.count: a sweep of count 1 needs stop == start"):
             parse_scenario(scenario_text(sweep={"variable": "R", "start": 50, "stop": 100, "count": 1}))
         cfg = tmp_path / "kmax.json"
         cfg.write_text(scenario_text(sweep={"variable": "R", "start": 500, "stop": 600, "count": 1}))
         assert main(["kmax-sweep", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("nfdof: error: sweep.count: ")
-        assert SweepSpec("R", 500.0, 500.0, 1).values().tolist() == [500.0]
+        assert SweepSpec(500.0, 500.0, 1).values().tolist() == [500.0]
+
+    @pytest.mark.parametrize(
+        "sweep, message",
+        [
+            ({"variable": "theta", "start": 300, "stop": 1000}, "only \"R\" sweeps are supported, got 'theta'"),
+            ({"start": 300, "stop": 1000}, "required field is missing"),
+        ],
+    )
+    def test_sweep_variable_must_be_r(self, tmp_path, capsys, sweep, message):
+        # SweepSpec sweeps R alone; the document still says so, and nothing else is read as R
+        cfg = tmp_path / "kmax.json"
+        cfg.write_text(scenario_text(sweep=sweep))
+        assert main(["kmax-sweep", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"nfdof: error: sweep.variable: {message}")
 
     def test_theta_list_range_checked(self):
         with pytest.raises(RangeError, match=r"theta_list\[1\]"):
@@ -772,7 +786,7 @@ class TestLibraryCaps:
     def test_kmax_pairs_over_the_cap_rejected(self, monkeypatch, theta_list):
         import nfdof.cli as cli_mod
 
-        sc = replace(parse_scenario(scenario_text()), sweep=SweepSpec("R", 300.0, 1000.0, MAX_SWEEP_COUNT),
+        sc = replace(parse_scenario(scenario_text()), sweep=SweepSpec(300.0, 1000.0, MAX_SWEEP_COUNT),
                      theta_list=theta_list)
         fail = lambda *a, **k: pytest.fail("work was done")  # noqa: E731
         for name in ("PolarPlacement", "k_number_max", "maximize_k", "SweepTable"):
