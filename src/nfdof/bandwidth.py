@@ -130,12 +130,12 @@ def omega_grid(psi: np.ndarray, phi_prime: np.ndarray, alpha: float) -> np.ndarr
 def local_bandwidth_closed(p: Sequence[float], v: Sequence[float], Ls: float) -> float:
     """Closed-form local bandwidth at point ``p`` for receive direction ``v``.
 
-    The placement is first reduced to the canonical frame; a collinear
-    placement (zero fan) or a direction along the segment gives 0.  The
-    segment test and the fan ``(alpha, beta)`` are ``geometry_angles``.
+    The point is first reduced to the canonical frame; a collinear point
+    (zero fan) or a direction along the segment gives 0.  The segment test
+    and the fan ``(alpha, beta)`` are ``geometry_angles`` of the reduced point.
     """
-    placement, v_c = canonicalize(p, v)
-    alpha, beta = geometry_angles(placement, Ls)
+    p_c, v_c = canonicalize(p, v)
+    alpha, beta = geometry_angles(p_c, Ls)
     psi, phi = _direction_angles(v_c)
     return omega_from_angles(psi, reduce_phi_prime(phi, beta), alpha)
 

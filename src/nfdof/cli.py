@@ -78,7 +78,7 @@ def _tensor_rows(a: Sequence[float], b: Sequence[float], *values: object) -> np.
 def cmd_localbw_sweep(scenario: Scenario, n_points: int = DEFAULT_ORIENTATION_POINTS) -> SweepTable:
     """Sweep (psi, phi') over [0, pi]^2 at the scenario placement."""
     _check_axis_points(n_points)
-    alpha, _ = geometry_angles(scenario.placement, scenario.Ls)
+    alpha, _ = geometry_angles(scenario.placement.point(), scenario.Ls)
     psis = np.linspace(0.0, math.pi, n_points)
     phis = np.linspace(0.0, math.pi, n_points)
     omega = omega_grid(psis, phis, alpha) / K0

@@ -8,8 +8,9 @@ Conventions used throughout the package:
   (x = 0, y >= 0, z >= 0) by a rotation about z plus an optional z-mirror,
   both of which leave the transmit segment (and hence every propagation
   angle) unchanged;
-* the fan of arrival directions at a placement is the pair ``(alpha, beta)``
-  of two floats from ``geometry_angles``, the one fan function.
+* the fan of arrival directions at a point is the pair ``(alpha, beta)``
+  of two floats from ``geometry_angles``, the one fan function; it depends
+  only on the point's distance rho from the z-axis and its height |z|.
 """
 
 from __future__ import annotations
@@ -71,8 +72,8 @@ class ArraySegment:
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         object.__setattr__(self, "direction", unit(self.direction))
         object.__setattr__(self, "length", float(self.length))
-        if self.length < 0.0:
-            raise ValueError(f"segment length must be >= 0, got {self.length}")
+        if not 0.0 <= self.length < math.inf:  # also NaN
+            raise ValueError(f"segment length must be >= 0 and finite, got {self.length}")
 
 
 @dataclass(frozen=True)
@@ -92,8 +93,8 @@ class PolarPlacement:
         return (0.0, self.R * math.cos(self.theta), self.R * math.sin(self.theta))
 
 
-def canonicalize(p: Sequence[float], v: Sequence[float]) -> tuple[PolarPlacement, Vec3]:
-    """Reduce an arbitrary placement to the canonical yOz first quadrant.
+def canonicalize(p: Sequence[float], v: Sequence[float]) -> tuple[Vec3, Vec3]:
+    """Reduce an arbitrary point and direction to the canonical yOz first quadrant.
 
     Parameters
     ----------
@@ -102,19 +103,14 @@ def canonicalize(p: Sequence[float], v: Sequence[float]) -> tuple[PolarPlacement
 
     Returns
     -------
-    (placement, direction): a rotation about z, then a mirror z -> -z when
-    z < 0, takes ``p`` to ``placement.point()`` (x = 0, y >= 0, z >= 0) and
-    the unit ``v`` to ``direction``.  Both maps fix the transmit segment, so
-    the local spatial bandwidth is invariant under this reduction.  No
-    segment test is made here; ``geometry_angles`` of the placement makes it.
+    (point, direction): a rotation about z, then a mirror z -> -z when
+    z < 0, takes ``p`` to ``point`` = (0, rho, |z|), with rho the distance
+    from the z-axis, and the unit ``v`` to ``direction``.  Both maps fix the
+    transmit segment, so the local spatial bandwidth is invariant under this
+    reduction.  No segment test is made here; ``geometry_angles`` makes it.
     """
     x, y, z = float(p[0]), float(p[1]), float(p[2])
     vx, vy, vz = unit(v)
-
-    r2 = x * x + y * y + z * z  # hypot only where the squares leave the normal range, as in unit
-    R = math.sqrt(r2) if _NORMAL_MIN <= r2 <= _NORMAL_MAX else math.hypot(x, y, z)
-    if R == 0.0:
-        raise DegeneratePoint("observation point at the array origin")
 
     rho = math.hypot(x, y)
     if rho > 0.0:
@@ -123,29 +119,33 @@ def canonicalize(p: Sequence[float], v: Sequence[float]) -> tuple[PolarPlacement
         vx, vy = c * vx - s * vy, s * vx + c * vy
 
     if z < 0.0:
-        z, vz = -z, -vz
+        vz = -vz
 
     # exact: the rotation sends (x, y) to (0, rho)
-    return PolarPlacement(R=R, theta=math.atan2(z, rho)), (vx, vy, vz)
+    return (0.0, rho, abs(z)), (vx, vy, vz)
 
 
-def geometry_angles(placement: PolarPlacement, Ls: float, reach: float = 0.0) -> tuple[float, float]:
-    """The fan of arrival directions at a canonical placement, as ``(alpha, beta)``.
+def geometry_angles(p: Sequence[float], Ls: float, reach: float = 0.0) -> tuple[float, float]:
+    """The fan of arrival directions at the point ``p``, as ``(alpha, beta)``.
 
     ``alpha`` is the angle subtended by the transmit segment's endpoints,
-    ``beta`` the tilt of the fan bisector from the +y axis; the arrival
-    direction angles (from +y, in the yOz plane) span
-    [beta - alpha/2, beta + alpha/2].  This is the package's one segment test
-    and fan formula: a placement within ``reach`` (Lp/2 for a receive array
-    centered there) plus ``SEGMENT_TOL`` of the segment raises DegeneratePoint.
-    On the z-axis beyond the segment tip all arrival directions are parallel:
+    ``beta`` the tilt of the fan bisector from the +y axis of the canonical
+    frame, where ``p`` has y = hypot(x, y) and z = |z|; the arrival direction
+    angles (from +y, in the yOz plane) span [beta - alpha/2, beta + alpha/2].
+    This is the package's one segment test and fan formula: a point within
+    ``reach`` (Lp/2 for a receive array centered there) plus ``SEGMENT_TOL``
+    of the segment, the origin included, raises DegeneratePoint.  On the
+    z-axis beyond the segment tip all arrival directions are parallel:
     alpha = 0, beta = pi/2.
     """
-    if Ls <= 0.0:
-        raise ValueError(f"Ls must be positive, got {Ls}")
+    if not 0.0 < Ls < math.inf:  # also NaN
+        raise ValueError(f"Ls must be positive and finite, got {Ls}")
+    if not 0.0 <= reach < math.inf:
+        raise ValueError(f"reach (Lp/2) must be >= 0 and finite, got {reach}")
+    y, z = math.hypot(p[0], p[1]), abs(p[2])
+    if not (y < math.inf and z < math.inf):  # also NaN
+        raise ValueError(f"point must have a finite rho and |z|, got rho={y}, |z|={z}")
     h = 0.5 * Ls
-    y = placement.R * math.cos(placement.theta)  # y, z >= 0: theta lies in [0, pi/2]
-    z = placement.R * math.sin(placement.theta)
     distance = y if z <= h else math.hypot(y, z - h)  # to the segment
     if distance <= reach + SEGMENT_TOL:
         reached = f"the receive array reaches the transmit segment: distance {distance:g} <= Lp/2 = {reach:g}"

@@ -61,7 +61,9 @@ def k_number_center(receiver: ArraySegment, Ls: float) -> KNumber:
 
 def k_number_max(placement: PolarPlacement, Lp: float, Ls: float) -> KNumber:
     """Center approximation at the optimal orientation: (Lp / 2pi) max_bandwidth(alpha)."""
-    alpha, _ = require_open_fan(geometry_angles(placement, Ls))
+    if not 0.0 < Lp < math.inf:  # also NaN
+        raise ValueError(f"Lp must be positive and finite, got {Lp}")
+    alpha, _ = require_open_fan(geometry_angles(placement.point(), Ls))
     return KNumber(Lp * max_bandwidth(alpha) / (2.0 * math.pi))
 
 
@@ -83,8 +85,8 @@ def maximize_k(
     n_psi, n_phi = grid
     if not MIN_SEARCH_AXIS <= min(grid) <= max(grid) <= MAX_GRID:
         raise ValueError(f"each search grid axis must lie in [{MIN_SEARCH_AXIS}, {MAX_GRID}], got {grid}")
-    _, beta = require_open_fan(geometry_angles(placement, Ls, 0.5 * Lp))
     p0 = placement.point()
+    _, beta = require_open_fan(geometry_angles(p0, Ls, 0.5 * Lp))
 
     def orientation(psi: float, phi_prime: float) -> OrientationAngles:
         return OrientationAngles(psi=psi, phi=reduce_phi_prime(phi_prime, -beta))  # phi' + beta mod pi

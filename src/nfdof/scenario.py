@@ -157,7 +157,7 @@ def _checked(path: str, check: Callable, *args: object):
 def _open_fan(placement: PolarPlacement, Ls: float, near: str, far: str, reach: float = 0.0):
     """The open fan at ``placement``; names ``near`` within ``reach`` of the segment, ``far`` on its axis."""
     try:
-        return require_open_fan(geometry_angles(placement, Ls, reach))
+        return require_open_fan(geometry_angles(placement.point(), Ls, reach))
     except (DegeneratePoint, DegenerateGeometry) as exc:
         name = near if isinstance(exc, DegeneratePoint) else far
         raise RangeError(f"{name}: {exc} (R={placement.R:g}, theta={placement.theta:g}, Ls={Ls:g})") from None

@@ -24,7 +24,6 @@ from .bandwidth import (
 from .geometry import (
     K0,
     PolarPlacement,
-    canonicalize,
     geometry_angles,
     subtended_angle_oracle,
 )
@@ -66,12 +65,12 @@ class ValidationReport:
         return all(r.passed for r in self.results)
 
 
-def _random_placement(rng: np.random.Generator, theta_max: float) -> PolarPlacement:
-    return PolarPlacement(R=rng.uniform(60.0, 2000.0), theta=rng.uniform(0.0, theta_max))
+def _random_point(rng: np.random.Generator, theta_max: float) -> tuple[float, float, float]:
+    return PolarPlacement(R=rng.uniform(60.0, 2000.0), theta=rng.uniform(0.0, theta_max)).point()
 
 
 def _random_config(rng: np.random.Generator):
-    _, rho, z = _random_placement(rng, 0.5 * math.pi * 0.999999).point()
+    _, rho, z = _random_point(rng, 0.5 * math.pi * 0.999999)
     psi = rng.uniform(0.0, math.pi)
     phi = rng.uniform(0.0, math.pi)
     azimuth = rng.uniform(0.0, 2.0 * math.pi)
@@ -90,7 +89,7 @@ def check_closed_vs_oracle(seed: int, n_cases: int) -> CheckResult:
         p, v = _random_config(rng)
         closed = local_bandwidth_closed(p, v, LS)
         oracle = local_bandwidth_oracle(p, v, LS, DEFAULT_ORACLE_SAMPLES)
-        alpha, _ = geometry_angles(canonicalize(p, v)[0], LS)
+        alpha, _ = geometry_angles(p, LS)
         bound = 2.0 * K0 * alpha / DEFAULT_ORACLE_SAMPLES + ROUNDOFF_FLOOR
         deviation = abs(closed - oracle)
         if deviation * tol >= worst * bound:  # report the case nearest its bound
@@ -103,9 +102,8 @@ def check_angles(seed: int, n_cases: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_cases):
-        placement = _random_placement(rng, 0.5 * math.pi * 0.999999)
-        alpha, beta = geometry_angles(placement, LS)
-        P = placement.point()
+        P = _random_point(rng, 0.5 * math.pi * 0.999999)
+        alpha, beta = geometry_angles(P, LS)
         ref = subtended_angle_oracle(P, (0.0, 0.0, 0.5 * LS), (0.0, 0.0, -0.5 * LS))
         worst = max(worst, abs(alpha - ref))
         if alpha > 0.0:
@@ -130,7 +128,7 @@ def check_orientation_maximum(seed: int, n_cases: int) -> CheckResult:
     h = math.pi / (MAXIMUM_GRID - 1)
     tol = K0 * h * h + ROUNDOFF_FLOOR  # quadratic dip of the max between grid nodes
     for _ in range(n_cases):
-        alpha, _ = geometry_angles(_random_placement(rng, 0.5 * math.pi * 0.98), LS)
+        alpha, _ = geometry_angles(_random_point(rng, 0.5 * math.pi * 0.98), LS)
         grid_max = float(omega_grid(psis, phis, alpha).max())
         worst = max(worst, abs(grid_max - max_bandwidth(alpha)))
     return _result("orientation maximum vs closed grid", n_cases, worst, tol)
@@ -166,7 +164,7 @@ def check_periodicity(seed: int, n_cases: int) -> CheckResult:
     worst = 0.0
     psis = phis = np.linspace(0.0, math.pi, PERIODICITY_GRID)
     for _ in range(n_cases):
-        p = _random_placement(rng, 0.5 * math.pi * 0.98).point()
+        p = _random_point(rng, 0.5 * math.pi * 0.98)
         for psi in psis:
             sp = math.sin(psi)
             for phi in phis:

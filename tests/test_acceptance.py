@@ -97,7 +97,7 @@ def test_criterion_2_orientation_maximum_on_fine_grid():
     for _ in range(200):
         R = rng.uniform(60.0, 2000.0)
         theta = rng.uniform(0.0, 0.5 * math.pi * 0.999)
-        alpha, _ = geometry_angles(PolarPlacement(R, theta), LS)
+        alpha, _ = geometry_angles(PolarPlacement(R, theta).point(), LS)
         grid = omega_grid(psis, phis, alpha)
         i, j = np.unravel_index(int(np.argmax(grid)), grid.shape)
         worst_val = max(worst_val, abs(float(grid[i, j]) - max_bandwidth(alpha)))
@@ -294,7 +294,7 @@ def test_criterion_5_edof_threshold_tracks_ek(spectra):
 def test_criterion_6_orientation_sweeps():
     t0 = time.monotonic()
     placement = PolarPlacement(500.0, math.pi / 6.0)
-    _, beta = geometry_angles(placement, LS)
+    _, beta = geometry_angles(placement.point(), LS)
     tx = antenna_grid(ArraySegment((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), LS), 0.5)
 
     def evaluate(psi, phi_prime):

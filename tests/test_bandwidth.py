@@ -148,7 +148,7 @@ class TestClosedForm:
 
     def test_optimal_orientation_value(self):
         placement = PolarPlacement(500.0, 0.0)
-        v = optimal_orientation(geometry_angles(placement, LS))
+        v = optimal_orientation(geometry_angles(placement.point(), LS))
         omega = local_bandwidth_closed(placement.point(), v, LS)
         alpha = 2.0 * math.atan(0.1)
         assert omega == pytest.approx(2.0 * K0 * math.sin(0.5 * alpha), rel=1e-12)
@@ -173,8 +173,7 @@ class TestClosedForm:
             p, v = random_case(rng)
             closed = local_bandwidth_closed(p, v, LS)
             oracle = local_bandwidth_oracle(p, v, LS, n)
-            placement, _ = canonicalize(p, v)
-            alpha, _ = geometry_angles(placement, LS)
+            alpha, _ = geometry_angles(p, LS)
             assert abs(closed - oracle) <= 2.0 * K0 * alpha / n + 1e-9
 
     def test_collinear_placement_gives_zero(self):
@@ -191,10 +190,8 @@ def objects_local_bandwidth_closed(p, v, Ls):
     canonicalize -> geometry_angles -> _direction_angles -> reduce_phi_prime ->
     omega_from_angles, written out independently of local_bandwidth_closed.
     """
-    placement, v_c = canonicalize(p, v)
+    (_, y, z), v_c = canonicalize(p, v)
     h = 0.5 * Ls
-    y = placement.R * math.cos(placement.theta)
-    z = placement.R * math.sin(placement.theta)
     if (y if z <= h else math.hypot(y, z - h)) <= SEGMENT_TOL:
         raise DegeneratePoint("placement intersects the transmit segment")
     gamma_a, gamma_b = math.atan2(z - h, y), math.atan2(z + h, y)
@@ -240,21 +237,20 @@ class TestFanAnglesEntry:
     def test_rows_equal_the_object_composition(self, p, v):
         value = local_bandwidth_closed(p, v, LS)
         assert value == objects_local_bandwidth_closed(p, v, LS)
-        placement, _ = canonicalize(p, v)
-        fan = geometry_angles(placement, LS)
+        fan = geometry_angles(canonicalize(p, v)[0], LS)
         assert type(fan) is tuple and [type(x) for x in fan] == [float, float]  # two floats, no box
 
     def test_z_axis_beyond_the_tip_has_a_zero_fan(self):
         placement = PolarPlacement(300.0, 0.5 * math.pi)
-        assert geometry_angles(placement, LS)[0] == 0.0
+        assert geometry_angles(placement.point(), LS)[0] == 0.0
         assert local_bandwidth_closed((0.0, 0.0, 300.0), (0.0, 1.0, 0.0), LS) == 0.0
 
     def test_keeps_the_segment_texts(self):
         with pytest.raises(DegeneratePoint, match="^placement intersects the transmit segment$"):
-            geometry_angles(PolarPlacement(30.0, 0.5 * math.pi), LS)
+            geometry_angles(PolarPlacement(30.0, 0.5 * math.pi).point(), LS)
         message = "^the receive array reaches the transmit segment: distance 40 <= Lp/2 = 50$"
         with pytest.raises(DegeneratePoint, match=message):
-            geometry_angles(PolarPlacement(40.0, 0.0), LS, 0.5 * 100.0)
+            geometry_angles(PolarPlacement(40.0, 0.0).point(), LS, 0.5 * 100.0)
 
     def test_each_node_calls_the_module_binding(self, monkeypatch):
         # one call per node plus integrate's second f(b): a node fan that bypasses the
@@ -267,7 +263,7 @@ class TestFanAnglesEntry:
 
         monkeypatch.setattr("nfdof.bandwidth.geometry_angles", counted)
         placement = PolarPlacement(500.0, 0.3)
-        seg = ArraySegment(placement.point(), optimal_orientation(geometry_angles(placement, LS)), 100.0)
+        seg = ArraySegment(placement.point(), optimal_orientation(geometry_angles(placement.point(), LS)), 100.0)
         k_number_numeric(seg, LS, 65)
         assert len(calls) == 66
 

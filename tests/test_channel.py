@@ -32,7 +32,7 @@ def tx_segment(Ls):
 def build_channel(R, theta, Ls, Lp, spacing, v=None):
     placement = PolarPlacement(R, theta)
     if v is None:
-        v = optimal_orientation(geometry_angles(placement, Ls))
+        v = optimal_orientation(geometry_angles(placement.point(), Ls))
     tx = antenna_grid(tx_segment(Ls), spacing)
     rx = antenna_grid(ArraySegment(placement.point(), v, Lp), spacing)
     return los_channel(tx, rx)

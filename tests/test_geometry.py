@@ -1,9 +1,12 @@
 """Canonical-frame reduction and angle geometry."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfdof import (
     ArraySegment,
@@ -18,8 +21,10 @@ from nfdof import (
     unit,
 )
 from nfdof.errors import DegenerateGeometry, DegeneratePoint
+from nfdof.geometry import SEGMENT_TOL
 
 LS = 100.0
+coord = st.floats(-3000.0, 3000.0, allow_nan=False)
 
 
 def endpoints(Ls=LS):
@@ -34,34 +39,29 @@ def random_placement(rng, r_lo=60.0, r_hi=2000.0):
 
 class TestCanonicalize:
     def test_already_canonical_is_identity(self):
-        placement, v = canonicalize((0.0, 500.0, 0.0), (0.0, 0.0, 1.0))
-        assert placement.R == pytest.approx(500.0, abs=0.0)
-        assert placement.theta == pytest.approx(0.0, abs=0.0)
+        p_c, v = canonicalize((0.0, 500.0, 0.0), (0.0, 0.0, 1.0))
         # a zero rotation and no mirror: point and direction come back unchanged
-        assert placement.point() == (0.0, 500.0, 0.0)
+        assert p_c == (0.0, 500.0, 0.0)
         assert v == (0.0, 0.0, 1.0)
 
     def test_x_axis_point_rotates_onto_y(self):
-        placement, v = canonicalize((500.0, 0.0, 0.0), (0.0, 1.0, 0.0))
-        assert placement.R == pytest.approx(500.0)
-        assert placement.theta == pytest.approx(0.0, abs=1e-15)
+        p_c, v = canonicalize((500.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+        assert p_c == (0.0, 500.0, 0.0)  # rho = hypot(500, 0) is exact
         # the rotated direction must be +-x (a quarter turn of y)
         assert abs(v[0]) == pytest.approx(1.0, abs=1e-15)
         assert v[1] == pytest.approx(0.0, abs=1e-15)
         # bandwidth unchanged: same sampled sources, rigid transform
         before = local_bandwidth_oracle((500.0, 0.0, 0.0), (0.0, 1.0, 0.0), LS, 4001)
-        after = local_bandwidth_oracle(placement.point(), v, LS, 4001)
+        after = local_bandwidth_oracle(p_c, v, LS, 4001)
         assert after == pytest.approx(before, abs=1e-9)
 
     def test_negative_z_is_mirrored(self):
-        placement, v = canonicalize((0.0, 300.0, -400.0), (0.0, 0.0, 1.0))
-        assert placement.R == pytest.approx(500.0)
-        assert placement.theta == pytest.approx(math.atan2(400.0, 300.0))
+        p_c, v = canonicalize((0.0, 300.0, -400.0), (0.0, 0.0, 1.0))
         # no rotation, and the mirror flips the z of both point and direction
-        assert placement.point() == pytest.approx((0.0, 300.0, 400.0))
+        assert p_c == (0.0, 300.0, 400.0)
         assert v == (0.0, 0.0, -1.0)
         before = local_bandwidth_oracle((0.0, 300.0, -400.0), (0.0, 0.0, 1.0), LS, 4001)
-        after = local_bandwidth_oracle(placement.point(), v, LS, 4001)
+        after = local_bandwidth_oracle(p_c, v, LS, 4001)
         assert after == pytest.approx(before, abs=1e-9)
 
     def test_transform_reproduces_canonical_pair(self):
@@ -74,11 +74,10 @@ class TestCanonicalize:
                 continue
             v = rng.normal(size=3)
             v /= np.linalg.norm(v)
-            placement, v_c = canonicalize(p, v)
+            p_c, v_c = canonicalize(p, v)
             x, y, z = p
             rho = math.hypot(x, y)
-            p_c = placement.point()
-            assert p_c == pytest.approx((0.0, rho, abs(z)), abs=1e-9)
+            assert p_c == (0.0, rho, abs(z))
             assert float(np.dot(p, v)) == pytest.approx(float(np.dot(p_c, v_c)), abs=1e-9)
             assert z * v[2] == pytest.approx(p_c[2] * v_c[2], abs=1e-9)
             assert x * v[1] - y * v[0] == pytest.approx(-rho * v_c[0], abs=1e-9)
@@ -100,30 +99,34 @@ class TestCanonicalize:
             )
             v = rng.normal(size=3)
             v /= np.linalg.norm(v)
-            placement, v_c = canonicalize(p, v)
+            p_c, v_c = canonicalize(p, v)
             before = local_bandwidth_oracle(p, v, LS, 2001)
-            after = local_bandwidth_oracle(placement.point(), v_c, LS, 2001)
+            after = local_bandwidth_oracle(p_c, v_c, LS, 2001)
             assert after == pytest.approx(before, rel=1e-9, abs=1e-12)
 
     def test_origin_rejected(self):
-        with pytest.raises(DegeneratePoint):
-            canonicalize((0.0, 0.0, 0.0), (0.0, 0.0, 1.0))
+        # canonicalize sends the origin to itself; the segment test refuses it
+        assert canonicalize((0.0, 0.0, 0.0), (0.0, 0.0, 1.0))[0] == (0.0, 0.0, 0.0)
+        with pytest.raises(DegeneratePoint, match="intersects the transmit segment"):
+            geometry_angles((0.0, 0.0, 0.0), LS)
+        with pytest.raises(DegeneratePoint, match="intersects the transmit segment"):
+            local_bandwidth_closed((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), LS)
 
     def test_point_on_segment_rejected(self):
         # canonicalize makes no segment test; geometry_angles of its placement is the one
         for p in ((0.0, 0.0, 30.0), (0.0, 5e-10, 30.0), (3e-10, -4e-10, -30.0)):
-            placement, _ = canonicalize(p, (0.0, 1.0, 0.0))
+            p_c, _ = canonicalize(p, (0.0, 1.0, 0.0))
             with pytest.raises(DegeneratePoint, match="intersects the transmit segment"):
-                geometry_angles(placement, LS)
+                geometry_angles(p_c, LS)
 
     def test_point_just_outside_band_accepted(self):
-        placement, _ = canonicalize((0.0, 1e-6, 30.0), (0.0, 1.0, 0.0))
-        assert geometry_angles(placement, LS)[0] > 0.0
+        p_c, _ = canonicalize((0.0, 1e-6, 30.0), (0.0, 1.0, 0.0))
+        assert geometry_angles(p_c, LS)[0] > 0.0
 
 
 class TestGeometryAngles:
     def test_broadside(self):
-        alpha, beta = geometry_angles(PolarPlacement(500.0, 0.0), LS)
+        alpha, beta = geometry_angles(PolarPlacement(500.0, 0.0).point(), LS)
         A, B = endpoints()
         assert alpha == pytest.approx(2.0 * math.atan(0.1), abs=1e-14)
         assert alpha == pytest.approx(
@@ -133,7 +136,7 @@ class TestGeometryAngles:
 
     def test_oblique(self):
         placement = PolarPlacement(500.0, math.pi / 3.0)
-        alpha, beta = geometry_angles(placement, LS)
+        alpha, beta = geometry_angles(placement.point(), LS)
         A, B = endpoints()
         assert alpha == pytest.approx(
             subtended_angle_oracle(placement.point(), A, B), abs=1e-12
@@ -143,13 +146,13 @@ class TestGeometryAngles:
         assert beta == pytest.approx(1.0428457746337723, abs=1e-12)
 
     def test_collinear_beyond_tip(self):
-        alpha, beta = geometry_angles(PolarPlacement(500.0, 0.5 * math.pi), LS)
+        alpha, beta = geometry_angles(PolarPlacement(500.0, 0.5 * math.pi).point(), LS)
         assert alpha == 0.0
         assert beta == pytest.approx(0.5 * math.pi)
 
     def test_on_segment_rejected(self):
         with pytest.raises(DegeneratePoint):
-            geometry_angles(PolarPlacement(30.0, 0.5 * math.pi), LS)
+            geometry_angles(PolarPlacement(30.0, 0.5 * math.pi).point(), LS)
 
     @pytest.mark.parametrize(
         "placement, distance",
@@ -162,15 +165,15 @@ class TestGeometryAngles:
     def test_reach_widens_the_segment_test(self, placement, distance):
         message = f"the receive array reaches the transmit segment: distance {distance:g} <= Lp/2 = 50"
         with pytest.raises(DegeneratePoint, match=f"^{message}$"):
-            geometry_angles(placement, LS, 50.0)
-        assert geometry_angles(placement, LS, distance - 1e-6) == geometry_angles(placement, LS)
+            geometry_angles(placement.point(), LS, 50.0)
+        assert geometry_angles(placement.point(), LS, distance - 1e-6) == geometry_angles(placement.point(), LS)
 
     def test_alpha_matches_oracle_everywhere(self):
         rng = np.random.default_rng(3)
         A, B = endpoints()
         for _ in range(10_000):
             placement = random_placement(rng)
-            alpha, _ = geometry_angles(placement, LS)
+            alpha, _ = geometry_angles(placement.point(), LS)
             ref = subtended_angle_oracle(placement.point(), A, B)
             assert abs(alpha - ref) <= 1e-12
 
@@ -178,7 +181,7 @@ class TestGeometryAngles:
         rng = np.random.default_rng(4)
         for _ in range(10_000):
             placement = random_placement(rng)
-            alpha, beta = geometry_angles(placement, LS)
+            alpha, beta = geometry_angles(placement.point(), LS)
             if alpha == 0.0:
                 continue
             P = placement.point()
@@ -192,25 +195,98 @@ class TestGeometryAngles:
         for _ in range(50):
             theta = rng.uniform(0.0, 0.5 * math.pi * 0.99)
             rs = np.linspace(60.0, 5000.0, 40)
-            alphas = [geometry_angles(PolarPlacement(float(R), theta), LS)[0] for R in rs]
+            alphas = [geometry_angles(PolarPlacement(float(R), theta).point(), LS)[0] for R in rs]
             assert all(a > b for a, b in zip(alphas, alphas[1:]))
-        far, _ = geometry_angles(PolarPlacement(1e9, 0.3), LS)
+        far, _ = geometry_angles(PolarPlacement(1e9, 0.3).point(), LS)
         assert far < 2e-7
 
     def test_equal_alpha_on_circumcircle_arc(self):
         # circle through the endpoints with center (0, 37.5, 0), radius 62.5:
         # every first-quadrant point of it sees the segment under the same angle
-        base, _ = geometry_angles(PolarPlacement(100.0, 0.0), LS)
+        base, _ = geometry_angles(PolarPlacement(100.0, 0.0).point(), LS)
         for y, z in ((87.5, 37.5), (55.0, 60.0), (75.0, 50.0)):
             placement = PolarPlacement(math.hypot(y, z), math.atan2(z, y))
-            alpha, _ = geometry_angles(placement, LS)
+            alpha, _ = geometry_angles(placement.point(), LS)
             assert abs(alpha - base) <= 1e-12
             assert abs(max_bandwidth(alpha) - max_bandwidth(base)) <= 1e-12
 
 
+    @pytest.mark.parametrize("Ls", [math.nan, math.inf, -math.inf, 0.0])
+    def test_non_finite_or_non_positive_Ls_rejected(self, Ls):
+        # a NaN Ls read a bandwidth of 0.0, an infinite one alpha = pi and 4 pi
+        with pytest.raises(ValueError, match="^Ls must be positive and finite, got"):
+            geometry_angles((0.0, 500.0, 0.0), Ls)
+        with pytest.raises(ValueError, match="^Ls must be positive and finite, got"):
+            local_bandwidth_closed((0.0, 500.0, 0.0), (0.0, 0.0, 1.0), Ls)
+
+    @pytest.mark.parametrize("reach", [math.nan, math.inf, -math.inf, -1.0])
+    def test_non_finite_or_negative_reach_rejected(self, reach):
+        with pytest.raises(ValueError, match=r"^reach \(Lp/2\) must be >= 0 and finite, got"):
+            geometry_angles((0.0, 500.0, 0.0), LS, reach)
+
+    @pytest.mark.parametrize(
+        "p", [(math.nan, 500.0, 0.0), (0.0, math.inf, 0.0), (0.0, 500.0, -math.inf), (1.7e308, 1.7e308, 0.0)]
+    )
+    def test_non_finite_rho_or_height_rejected(self, p):
+        # the last point is finite, but its distance from the z-axis overflows
+        with pytest.raises(ValueError, match="^" + re.escape("point must have a finite rho and |z|, got")):
+            geometry_angles(p, LS)
+
+
+def fan_or_refusal(p, Ls):
+    """geometry_angles(p, Ls), or the text of the DegeneratePoint it raised."""
+    try:
+        return geometry_angles(p, Ls)
+    except DegeneratePoint as exc:
+        return str(exc)
+
+
+def polar_fan(R, theta, Ls):
+    """The fan as computed from (R, theta) before geometry_angles took a point."""
+    h = 0.5 * Ls
+    y = R * math.cos(theta)
+    z = R * math.sin(theta)
+    if (y if z <= h else math.hypot(y, z - h)) <= SEGMENT_TOL:
+        return "placement intersects the transmit segment"
+    gamma_a, gamma_b = math.atan2(z - h, y), math.atan2(z + h, y)
+    d = gamma_b - gamma_a
+    return (d if d > 0.0 else 0.0), 0.5 * (gamma_a + gamma_b)
+
+
+class TestFanOfAPoint:
+    """The fan reads only the distance rho from the z-axis and the height |z| of its point."""
+
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(
+        p=st.tuples(coord, coord, coord),
+        Ls=st.floats(0.5, 500.0),
+        turn=st.floats(-math.pi, math.pi),
+    )
+    def test_invariant_under_the_canonical_maps(self, p, Ls, turn):
+        fan = fan_or_refusal(p, Ls)
+        assert fan_or_refusal(canonicalize(p, (0.0, 0.0, 1.0))[0], Ls) == fan  # bit for bit
+        assert fan_or_refusal((p[0], p[1], -p[2]), Ls) == fan
+        c, s = math.cos(turn), math.sin(turn)
+        turned = fan_or_refusal((c * p[0] - s * p[1], s * p[0] + c * p[1], p[2]), Ls)
+        if isinstance(fan, str):
+            assert turned == fan
+        else:
+            assert abs(turned[0] - fan[0]) <= 1e-15 and abs(turned[1] - fan[1]) <= 1e-15
+
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(
+        R=st.floats(1e-3, 1e9),
+        theta=st.floats(0.0, 0.5 * math.pi),
+        Ls=st.floats(0.5, 500.0),
+    )
+    def test_polar_point_keeps_the_polar_fan(self, R, theta, Ls):
+        # hypot(0, R cos(theta)) is R cos(theta) and |R sin(theta)| is R sin(theta): no float changes
+        assert fan_or_refusal(PolarPlacement(R, theta).point(), Ls) == polar_fan(R, theta, Ls)
+
+
 class TestOptimalOrientation:
     def test_broadside_parallel_to_transmit(self):
-        ang = geometry_angles(PolarPlacement(500.0, 0.0), LS)
+        ang = geometry_angles(PolarPlacement(500.0, 0.0).point(), LS)
         assert optimal_orientation(ang) == pytest.approx((0.0, 0.0, 1.0))
 
     def test_quarter_turn(self):
@@ -225,7 +301,7 @@ class TestOptimalOrientation:
     def test_is_argmax_of_oracle_bandwidth(self):
         # fine orientation scan of the brute-force bandwidth at theta = pi/3
         placement = PolarPlacement(500.0, math.pi / 3.0)
-        ang = geometry_angles(placement, LS)
+        ang = geometry_angles(placement.point(), LS)
         v_best = optimal_orientation(ang)
         assert v_best == pytest.approx(
             (0.0, -0.8638413220068705, 0.5037640026772678), abs=1e-12
@@ -243,7 +319,7 @@ class TestOptimalOrientation:
         assert math.acos(min(1.0, dot)) <= step
 
     def test_zero_fan_rejected(self):
-        ang = geometry_angles(PolarPlacement(500.0, 0.5 * math.pi), LS)
+        ang = geometry_angles(PolarPlacement(500.0, 0.5 * math.pi).point(), LS)
         with pytest.raises(DegenerateGeometry, match="subtends a zero angle"):
             optimal_orientation(ang)
 
@@ -260,6 +336,12 @@ class TestArraySegment:
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
             ArraySegment((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), -1.0)
+
+    @pytest.mark.parametrize("length", [math.nan, math.inf, -math.inf])
+    def test_non_finite_length_rejected(self, length):
+        # a NaN length gave a NaN center K number, an infinite one an infinite K
+        with pytest.raises(ValueError, match="^segment length must be >= 0 and finite, got"):
+            ArraySegment((0.0, 500.0, 0.0), (0.0, 0.0, 1.0), length)
 
 
 class TestUnit:

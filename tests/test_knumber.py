@@ -57,13 +57,13 @@ def four_distance_k(receiver, Ls=LS):
 class TestNumeric:
     def test_vanishes_with_array_length(self):
         placement = PolarPlacement(500.0, 0.0)
-        v = optimal_orientation(geometry_angles(placement, LS))
+        v = optimal_orientation(geometry_angles(placement.point(), LS))
         k = k_number_numeric(segment_at(placement, v, Lp=1e-9), LS)
         assert k.value == pytest.approx(0.0, abs=1e-9)
 
     def test_broadside_optimal_value(self):
         placement = PolarPlacement(500.0, 0.0)
-        v = optimal_orientation(geometry_angles(placement, LS))
+        v = optimal_orientation(geometry_angles(placement.point(), LS))
         coarse = k_number_numeric(segment_at(placement, v), LS, 129).value
         dense = k_number_numeric(segment_at(placement, v), LS, 2049).value
         assert coarse == pytest.approx(dense, rel=1e-8)
@@ -75,7 +75,7 @@ class TestNumeric:
     def test_constant_field_limit(self):
         # transmit effectively at infinity: integrand constant along the array
         placement = PolarPlacement(1e6, 0.4)
-        v = optimal_orientation(geometry_angles(placement, LS))
+        v = optimal_orientation(geometry_angles(placement.point(), LS))
         numeric = k_number_numeric(segment_at(placement, v, Lp=1.0), LS).value
         center = k_number_center(segment_at(placement, v, Lp=1.0), LS).value
         assert numeric == pytest.approx(center, rel=1e-9)
@@ -121,7 +121,7 @@ class TestNumeric:
 class TestCenter:
     def test_broadside_optimal(self):
         placement = PolarPlacement(500.0, 0.0)
-        v = optimal_orientation(geometry_angles(placement, LS))
+        v = optimal_orientation(geometry_angles(placement.point(), LS))
         k = k_number_center(segment_at(placement, v), LS)
         alpha = 2.0 * math.atan(0.1)
         assert k.value == pytest.approx(200.0 * math.sin(0.5 * alpha), rel=1e-12)
@@ -133,7 +133,7 @@ class TestCenter:
 
     def test_oblique_optimal(self):
         placement = PolarPlacement(500.0, math.pi / 3.0)
-        ang = geometry_angles(placement, LS)
+        ang = geometry_angles(placement.point(), LS)
         v = optimal_orientation(ang)
         k = k_number_center(segment_at(placement, v), LS)
         assert k.value == pytest.approx(200.0 * math.sin(0.5 * ang[0]), rel=1e-12)
@@ -160,6 +160,12 @@ class TestMax:
         with pytest.raises(DegenerateGeometry, match="subtends a zero angle"):
             k_number_max(PolarPlacement(500.0, 0.5 * math.pi), LP, LS)
 
+    @pytest.mark.parametrize("Lp", [math.nan, math.inf, -math.inf, 0.0])
+    def test_non_finite_or_non_positive_Lp_rejected(self, Lp):
+        # a NaN Lp gave KNumber(nan)
+        with pytest.raises(ValueError, match="^Lp must be positive and finite, got"):
+            k_number_max(PolarPlacement(500.0, 0.0), Lp, LS)
+
     def test_monotone_in_distance_and_tilt(self):
         rs = np.linspace(200.0, 2000.0, 30)
         for theta in (0.0, math.pi / 6.0, math.pi / 3.0):
@@ -178,7 +184,7 @@ class TestMaximize:
         ak = k_number_max(placement, LP, LS).value
         assert abs(res.best_k.value - ak) / ak <= 0.05
         # argmax lands on (pi/2, pi/2) within one refined step
-        _, beta = geometry_angles(placement, LS)
+        _, beta = geometry_angles(placement.point(), LS)
         pp = reduce_phi_prime(res.best_orientation.phi, beta)
         coarse_psi_step = math.pi / 15.0
         coarse_phi_step = math.pi / 16.0
@@ -189,7 +195,7 @@ class TestMaximize:
     def test_result_dominates_analytic_candidate(self):
         placement = PolarPlacement(500.0, math.pi / 6.0)
         res = maximize_k(placement, LP, LS, grid=(16, 16), quad_points=65)
-        v = optimal_orientation(geometry_angles(placement, LS))
+        v = optimal_orientation(geometry_angles(placement.point(), LS))
         seg = ArraySegment(placement.point(), v, LP)
         k_np = k_number_numeric(seg, LS, 65).value
         assert res.best_k.value >= k_np * (1.0 - 1e-9)
@@ -239,7 +245,7 @@ class TestMaximize:
 
         monkeypatch.setattr(knumber_mod, "k_number_numeric", fake_k)
         placement = PolarPlacement(400.0, 0.3)
-        _, beta = geometry_angles(placement, LS)
+        _, beta = geometry_angles(placement.point(), LS)
         res = maximize_k(placement, LP, LS, grid=(n_psi, n_phi), quad_points=33)
 
         psis = np.linspace(0.0, math.pi, n_psi)
@@ -270,6 +276,13 @@ class TestMaximize:
     def test_zero_fan_rejected(self):
         with pytest.raises(DegenerateGeometry, match="subtends a zero angle"):
             maximize_k(PolarPlacement(500.0, 0.5 * math.pi), LP, LS)
+
+    @pytest.mark.parametrize("Lp", [math.nan, math.inf, -math.inf])
+    def test_non_finite_Lp_names_its_reach(self, monkeypatch, Lp):
+        # a NaN Lp failed at the first node with "R must be positive and finite, got nan"
+        monkeypatch.setattr("nfdof.knumber.k_number_numeric", lambda *a: pytest.fail("a K was evaluated"))
+        with pytest.raises(ValueError, match=r"^reach \(Lp/2\) must be >= 0 and finite, got"):
+            maximize_k(PolarPlacement(500.0, 0.0), Lp, LS, (8, 8), 3)
 
     @pytest.mark.parametrize("grid", [(8, 8), (9, 8), (64, 64)])
     @pytest.mark.parametrize(
@@ -303,7 +316,7 @@ class TestFourDistanceOracle:
     @pytest.mark.parametrize("theta", [0.0, math.pi / 6, math.pi / 3])
     def test_equals_quadrature_at_optimal_orientation(self, theta, R, nodes, rel):
         placement = PolarPlacement(R, theta)
-        seg = segment_at(placement, optimal_orientation(geometry_angles(placement, LS)))
+        seg = segment_at(placement, optimal_orientation(geometry_angles(placement.point(), LS)))
         assert four_distance_k(seg) == pytest.approx(k_number_numeric(seg, LS, nodes).value, rel=rel)
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
