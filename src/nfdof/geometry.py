@@ -108,15 +108,24 @@ def canonicalize(p: Sequence[float], v: Sequence[float]) -> tuple[Vec3, Vec3]:
     from the z-axis, and the unit ``v`` to ``direction``.  Both maps fix the
     transmit segment, so the local spatial bandwidth is invariant under this
     reduction.  No segment test is made here; ``geometry_angles`` makes it.
+    The rotation's cosine and sine are y/rho and x/rho (of (x, y) scaled by a
+    power of two when rho leaves the normal range); on the z-axis or the +y
+    half-axis v is kept, and on the -y half-axis (vx, vy) is negated exactly.
     """
     x, y, z = float(p[0]), float(p[1]), float(p[2])
     vx, vy, vz = unit(v)
 
     rho = math.hypot(x, y)
-    if rho > 0.0:
-        rot = math.remainder(0.5 * math.pi - math.atan2(y, x), 2.0 * math.pi)
-        c, s = math.cos(rot), math.sin(rot)
+    if x != 0.0:
+        r, sx, sy = rho, x, y
+        if not _NORMAL_MIN <= r <= _NORMAL_MAX:  # subnormal or overflowing (also NaN)
+            e = -math.frexp(max(abs(x), abs(y)))[1]
+            sx, sy = math.ldexp(x, e), math.ldexp(y, e)
+            r = math.hypot(sx, sy)
+        c, s = sy / r, sx / r
         vx, vy = c * vx - s * vy, s * vx + c * vy
+    elif y < 0.0:
+        vx, vy = -vx, -vy
 
     if z < 0.0:
         vz = -vz

@@ -59,10 +59,14 @@ def k_number_center(receiver: ArraySegment, Ls: float) -> KNumber:
     return KNumber(receiver.length * omega / (2.0 * math.pi))
 
 
-def k_number_max(placement: PolarPlacement, Lp: float, Ls: float) -> KNumber:
-    """Center approximation at the optimal orientation: (Lp / 2pi) max_bandwidth(alpha)."""
+def _require_Lp(Lp: float) -> None:
     if not 0.0 < Lp < math.inf:  # also NaN
         raise ValueError(f"Lp must be positive and finite, got {Lp}")
+
+
+def k_number_max(placement: PolarPlacement, Lp: float, Ls: float) -> KNumber:
+    """Center approximation at the optimal orientation: (Lp / 2pi) max_bandwidth(alpha)."""
+    _require_Lp(Lp)
     alpha, _ = require_open_fan(geometry_angles(placement.point(), Ls))
     return KNumber(Lp * max_bandwidth(alpha) / (2.0 * math.pi))
 
@@ -79,9 +83,11 @@ def maximize_k(
     Evaluates a coarse (psi, phi') grid over [0, pi] x [0, pi), then a 10x
     finer grid spanning one coarse cell around the best point.  phi' is
     measured from the fan bisector, so the landscape is placement-independent
-    up to the bisector tilt beta; ties break to the lowest grid index.  A
-    placement within Lp/2 of the segment is refused before any K evaluation.
+    up to the bisector tilt beta; ties break to the lowest grid index.  An Lp
+    that is not positive and finite, and a placement within Lp/2 of the
+    segment, are refused before any K evaluation.
     """
+    _require_Lp(Lp)
     n_psi, n_phi = grid
     if not MIN_SEARCH_AXIS <= min(grid) <= max(grid) <= MAX_GRID:
         raise ValueError(f"each search grid axis must lie in [{MIN_SEARCH_AXIS}, {MAX_GRID}], got {grid}")

@@ -2,13 +2,16 @@
 
 Each check draws seeded random configurations, compares two independent
 computation routes, and reports the worst deviation.  The harness backs
-the ``nfdof validate`` subcommand.
+the ``nfdof validate`` subcommand.  Cases are drawn in blocks of rows from
+the stream that one scalar draw per value would read, so no case, and no
+report line, depends on the block size.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -24,6 +27,7 @@ from .bandwidth import (
 from .geometry import (
     K0,
     PolarPlacement,
+    Vec3,
     geometry_angles,
     subtended_angle_oracle,
 )
@@ -33,6 +37,11 @@ LS = 100.0  # transmit-segment length of every check
 MAX_CASES = 10_000  # the angle and continuity checks run 50 times as many
 MAXIMUM_GRID = 501  # (psi, phi') points per axis of the orientation-maximum check
 PERIODICITY_GRID = 41  # (psi, phi) points per axis of the periodicity check
+_DRAW_BLOCK = 1024  # rows per rng.uniform call; one block's rows live as a Python list
+_R_RANGE = (60.0, 2000.0)  # distance of every random point from the origin
+# the (low, high) of a random configuration's R, theta, psi, phi, azimuth and z-mirror draws
+_CONFIG_BOUNDS = (_R_RANGE, (0.0, 0.5 * math.pi * 0.999999), (0.0, math.pi), (0.0, math.pi),
+                  (0.0, 2.0 * math.pi), (0.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -65,19 +74,29 @@ class ValidationReport:
         return all(r.passed for r in self.results)
 
 
-def _random_point(rng: np.random.Generator, theta_max: float) -> tuple[float, float, float]:
-    return PolarPlacement(R=rng.uniform(60.0, 2000.0), theta=rng.uniform(0.0, theta_max)).point()
+def _draws(rng: np.random.Generator, n: int, *bounds: tuple[float, float]) -> Iterator[list[float]]:
+    """``n`` rows of uniform draws, one per ``(low, high)`` bound, in blocks of ``_DRAW_BLOCK`` rows.
+
+    Row-major order is the stream that ``n * len(bounds)`` scalar
+    ``rng.uniform(low, high)`` calls read, so the values are the same bit for bit.
+    """
+    lows, highs = zip(*bounds)
+    for start in range(0, n, _DRAW_BLOCK):
+        yield from rng.uniform(lows, highs, size=(min(_DRAW_BLOCK, n - start), len(bounds))).tolist()
 
 
-def _random_config(rng: np.random.Generator):
-    _, rho, z = _random_point(rng, 0.5 * math.pi * 0.999999)
-    psi = rng.uniform(0.0, math.pi)
-    phi = rng.uniform(0.0, math.pi)
-    azimuth = rng.uniform(0.0, 2.0 * math.pi)
-    z_sign = 1.0 if rng.uniform() < 0.5 else -1.0
-    # place the point anywhere in 3D; canonicalization brings it back
-    p = (rho * math.cos(azimuth), rho * math.sin(azimuth), z_sign * z)
-    return p, OrientationAngles(psi, phi).vector()
+def _random_points(rng: np.random.Generator, n: int, theta_max: float) -> Iterator[Vec3]:
+    for R, theta in _draws(rng, n, _R_RANGE, (0.0, theta_max)):
+        yield PolarPlacement(R=R, theta=theta).point()
+
+
+def _random_configs(rng: np.random.Generator, n: int) -> Iterator[tuple[Vec3, Vec3]]:
+    for R, theta, psi, phi, azimuth, flip in _draws(rng, n, *_CONFIG_BOUNDS):
+        _, rho, z = PolarPlacement(R=R, theta=theta).point()
+        z_sign = 1.0 if flip < 0.5 else -1.0
+        # place the point anywhere in 3D; canonicalization brings it back
+        p = (rho * math.cos(azimuth), rho * math.sin(azimuth), z_sign * z)
+        yield p, OrientationAngles(psi, phi).vector()
 
 
 def check_closed_vs_oracle(seed: int, n_cases: int) -> CheckResult:
@@ -85,8 +104,7 @@ def check_closed_vs_oracle(seed: int, n_cases: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     tol = 0.0
-    for _ in range(n_cases):
-        p, v = _random_config(rng)
+    for p, v in _random_configs(rng, n_cases):
         closed = local_bandwidth_closed(p, v, LS)
         oracle = local_bandwidth_oracle(p, v, LS, DEFAULT_ORACLE_SAMPLES)
         alpha, _ = geometry_angles(p, LS)
@@ -101,8 +119,7 @@ def check_angles(seed: int, n_cases: int) -> CheckResult:
     """Subtended angle against the cross/dot construction, plus the bisector tilt."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n_cases):
-        P = _random_point(rng, 0.5 * math.pi * 0.999999)
+    for P in _random_points(rng, n_cases, 0.5 * math.pi * 0.999999):
         alpha, beta = geometry_angles(P, LS)
         ref = subtended_angle_oracle(P, (0.0, 0.0, 0.5 * LS), (0.0, 0.0, -0.5 * LS))
         worst = max(worst, abs(alpha - ref))
@@ -127,8 +144,8 @@ def check_orientation_maximum(seed: int, n_cases: int) -> CheckResult:
     psis = phis = np.linspace(0.0, math.pi, MAXIMUM_GRID)
     h = math.pi / (MAXIMUM_GRID - 1)
     tol = K0 * h * h + ROUNDOFF_FLOOR  # quadratic dip of the max between grid nodes
-    for _ in range(n_cases):
-        alpha, _ = geometry_angles(_random_point(rng, 0.5 * math.pi * 0.98), LS)
+    for P in _random_points(rng, n_cases, 0.5 * math.pi * 0.98):
+        alpha, _ = geometry_angles(P, LS)
         grid_max = float(omega_grid(psis, phis, alpha).max())
         worst = max(worst, abs(grid_max - max_bandwidth(alpha)))
     return _result("orientation maximum vs closed grid", n_cases, worst, tol)
@@ -138,9 +155,7 @@ def check_branch_continuity(seed: int, n_cases: int) -> CheckResult:
     """Branch values must agree at the seams phi' = alpha/2 and pi - alpha/2."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n_cases):
-        alpha = rng.uniform(1e-6, math.pi * 0.999)
-        psi = rng.uniform(0.0, math.pi)
+    for alpha, psi in _draws(rng, n_cases, (1e-6, math.pi * 0.999), (0.0, math.pi)):
         s, half = math.sin(psi), 0.5 * alpha
         lo_a = K0 * s * (1.0 - math.cos(half + half))
         lo_b = 2.0 * K0 * s * math.sin(half) * math.sin(half)
@@ -162,14 +177,14 @@ def check_periodicity(seed: int, n_cases: int) -> CheckResult:
     """Bandwidth must be unchanged under phi -> phi + pi (opposite projection)."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    psis = phis = np.linspace(0.0, math.pi, PERIODICITY_GRID)
-    for _ in range(n_cases):
-        p = _random_point(rng, 0.5 * math.pi * 0.98)
-        for psi in psis:
-            sp = math.sin(psi)
-            for phi in phis:
-                v = (math.cos(psi), sp * math.cos(phi), sp * math.sin(phi))
-                w = (math.cos(psi), -sp * math.cos(phi), -sp * math.sin(phi))
+    grid = np.linspace(0.0, math.pi, PERIODICITY_GRID).tolist()
+    phi_trig = [(math.cos(phi), math.sin(phi)) for phi in grid]
+    for p in _random_points(rng, n_cases, 0.5 * math.pi * 0.98):
+        for psi in grid:
+            cp, sp = math.cos(psi), math.sin(psi)
+            for cos_phi, sin_phi in phi_trig:
+                y, z = sp * cos_phi, sp * sin_phi
+                v, w = (cp, y, z), (cp, -y, -z)  # -y is (-sp) * cos(phi) exactly
                 worst = max(
                     worst,
                     abs(local_bandwidth_closed(p, v, LS) - local_bandwidth_closed(p, w, LS)),

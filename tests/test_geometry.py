@@ -124,6 +124,59 @@ class TestCanonicalize:
         assert geometry_angles(p_c, LS)[0] > 0.0
 
 
+def atan2_rotation(p, v):
+    """The direction canonicalize returned when it found its rotation by atan2, cos and sin."""
+    x, y, z = p
+    vx, vy, vz = unit(v)
+    if math.hypot(x, y) > 0.0:
+        rot = math.remainder(0.5 * math.pi - math.atan2(y, x), 2.0 * math.pi)
+        c, s = math.cos(rot), math.sin(rot)
+        vx, vy = c * vx - s * vy, s * vx + c * vy
+    return (vx, vy, -vz if z < 0.0 else vz)
+
+
+class TestCanonicalRotation:
+    """canonicalize rotates by cos = y/rho and sin = x/rho, with no transcendental call."""
+
+    V = (0.3, -0.4, 0.5)
+
+    def test_positive_y_axis_keeps_the_direction(self):
+        assert canonicalize((0.0, 300.0, 40.0), self.V)[1] == unit(self.V)
+
+    def test_negative_y_axis_negates_x_and_y_exactly(self):
+        vx, vy, vz = unit(self.V)
+        assert canonicalize((0.0, -300.0, 40.0), self.V)[1] == (-vx, -vy, vz)
+        assert canonicalize((-0.0, -300.0, 40.0), self.V)[1] == (-vx, -vy, vz)
+
+    def test_origin_and_z_axis_are_untouched(self):
+        assert canonicalize((0.0, 0.0, 0.0), self.V) == ((0.0, 0.0, 0.0), unit(self.V))
+        assert canonicalize((0.0, 0.0, 70.0), self.V) == ((0.0, 0.0, 70.0), unit(self.V))
+
+    def test_x_axis_quarter_turn_is_exact(self):
+        assert canonicalize((500.0, 0.0, 0.0), (0.0, 1.0, 0.0)) == ((0.0, 500.0, 0.0), (-1.0, 0.0, 0.0))
+
+    @settings(max_examples=2000, derandomize=True, database=None, deadline=None)
+    @given(
+        p=st.tuples(coord, coord, coord),
+        v=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).filter(
+            lambda v: max(map(abs, v)) > 1e-3
+        ),
+    )
+    def test_matches_the_atan2_rotation(self, p, v):
+        # subnormal coordinates included: (x, y) is scaled before its rho is divided into it
+        v_c = canonicalize(p, v)[1]
+        assert abs(math.sqrt(sum(c * c for c in v_c)) - 1.0) <= 1e-15
+        for got, ref in zip(v_c, atan2_rotation(p, v)):
+            assert abs(got - ref) <= 1e-15
+
+    @pytest.mark.parametrize("p", [(5e-324, 5e-324, 1.0), (-3e-320, 1e-310, 0.0), (1.5e308, -1.5e308, 0.0)])
+    def test_rho_outside_the_normal_range(self, p):
+        v_c = canonicalize(p, self.V)[1]
+        assert abs(math.sqrt(sum(c * c for c in v_c)) - 1.0) <= 1e-15
+        for got, ref in zip(v_c, atan2_rotation(p, self.V)):
+            assert abs(got - ref) <= 1e-15
+
+
 class TestGeometryAngles:
     def test_broadside(self):
         alpha, beta = geometry_angles(PolarPlacement(500.0, 0.0).point(), LS)

@@ -277,11 +277,12 @@ class TestMaximize:
         with pytest.raises(DegenerateGeometry, match="subtends a zero angle"):
             maximize_k(PolarPlacement(500.0, 0.5 * math.pi), LP, LS)
 
-    @pytest.mark.parametrize("Lp", [math.nan, math.inf, -math.inf])
-    def test_non_finite_Lp_names_its_reach(self, monkeypatch, Lp):
-        # a NaN Lp failed at the first node with "R must be positive and finite, got nan"
+    @pytest.mark.parametrize("Lp", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_non_finite_or_non_positive_Lp_rejected(self, monkeypatch, Lp):
+        # Lp = 0 searched the whole grid and returned KNumber(0.0); a negative,
+        # NaN or infinite Lp was blamed on the reach Lp/2
         monkeypatch.setattr("nfdof.knumber.k_number_numeric", lambda *a: pytest.fail("a K was evaluated"))
-        with pytest.raises(ValueError, match=r"^reach \(Lp/2\) must be >= 0 and finite, got"):
+        with pytest.raises(ValueError, match="^Lp must be positive and finite, got"):
             maximize_k(PolarPlacement(500.0, 0.0), Lp, LS, (8, 8), 3)
 
     @pytest.mark.parametrize("grid", [(8, 8), (9, 8), (64, 64)])
