@@ -61,11 +61,16 @@ def hermitian_eigenvalues(
     Raises
     ------
     ValueError
-        If the input is not square, has a non-finite entry, or is not
-        Hermitian to HERMITIAN_TOL.
+        If ``tol`` is negative, NaN or infinite, if ``max_sweeps`` is
+        negative, or if the input is not square, has a non-finite entry, or
+        is not Hermitian to HERMITIAN_TOL.
     NumericalFailure
         If the sweep budget is exhausted before convergence.
     """
+    if not 0.0 <= tol < math.inf:  # at NaN or inf every pivot is skipped, below 0 none is
+        raise ValueError(f"tol must be non-negative and finite, got {tol}")
+    if max_sweeps < 0:
+        raise ValueError(f"max_sweeps must be non-negative, got {max_sweeps}")
     A = np.array(M, dtype=np.complex128)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")

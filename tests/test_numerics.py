@@ -184,6 +184,21 @@ class TestHermitianEigenvalues:
         with pytest.raises(NumericalFailure):
             hermitian_eigenvalues(M, max_sweeps=0)
 
+    @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+    def test_bad_tolerance_rejected_before_any_sweep(self, tol):
+        # NaN and inf skipped every pivot and returned the diagonal [2, 2]; -1 divided by
+        # zero-modulus pivots until the sweep budget ran out
+        with pytest.raises(ValueError, match=r"^tol must be non-negative and finite, got "):
+            hermitian_eigenvalues(np.array([[2.0, 1.0], [1.0, 2.0]]), tol=tol)
+
+    def test_negative_sweep_budget_rejected(self):
+        with pytest.raises(ValueError, match=r"^max_sweeps must be non-negative, got -1$"):
+            hermitian_eigenvalues(np.array([[2.0, 1.0], [1.0, 2.0]]), max_sweeps=-1)
+
+    def test_zero_tolerance_converges(self):
+        eig = hermitian_eigenvalues(np.array([[2.0, 1.0], [1.0, 2.0]]), tol=0.0)
+        assert eig == pytest.approx([3.0, 1.0], rel=1e-15)
+
     def test_diagonal_converges_with_zero_budget(self):
         assert hermitian_eigenvalues(np.diag([3.0, 1.0]), max_sweeps=0) == pytest.approx(
             [3.0, 1.0]

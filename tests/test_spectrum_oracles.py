@@ -3,10 +3,11 @@
 ``cyclic_jacobi`` steps through every upper-triangle pivot in Python and
 rotates through list-index copies; ``householder_r`` swaps a pivot column
 into place even when it is there already.
-Both keep the kernels' stop rules: the QR stops at the noise floor and the
-Jacobi on the kept rows runs at KEPT_JACOBI_TOL.  ``hermitian_eigenvalues``
-and ``_pivoted_r`` must give the same arrays, so ``np.array_equal`` is the
-only comparison used here.
+Both keep the kernels' stop rules: the QR stops at the noise floor, the kept
+rows pass through GRADING_PASSES unpivoted LAPACK QRs of their conjugate
+transpose, and the Jacobi on their Gram matrix runs at KEPT_JACOBI_TOL.
+``hermitian_eigenvalues`` and ``_pivoted_r`` must give the same arrays, so
+``np.array_equal`` is the only comparison used here.
 """
 
 import math
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from nfdof import ChannelMatrix, hermitian_eigenvalues, singular_spectrum
-from nfdof.channel import KEPT_JACOBI_TOL, NOISE_FLOOR, _pivoted_r
+from nfdof.channel import GRADING_PASSES, KEPT_JACOBI_TOL, NOISE_FLOOR, _pivoted_r
 from nfdof.numerics import HERMITIAN_TOL
 
 from test_channel import build_channel
@@ -100,7 +101,10 @@ def assert_same_route(H):
     assert np.array_equal(_pivoted_r(A), R)
     rank = int(np.count_nonzero(np.diagonal(R)))
     assert not R[rank:].any()
-    G = R[:rank] @ R[:rank].conj().T
+    X = R[:rank]
+    for _ in range(GRADING_PASSES):
+        X = np.linalg.qr(X.conj().T, mode="r")
+    G = X @ X.conj().T
     eig = cyclic_jacobi(G, tol=KEPT_JACOBI_TOL)
     assert np.array_equal(hermitian_eigenvalues(G, tol=KEPT_JACOBI_TOL), eig)
     values = np.zeros(R.shape[0])
