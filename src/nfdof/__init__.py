@@ -7,14 +7,11 @@ __version__ = "0.1.0"
 
 from .bandwidth import (
     OrientationAngles,
-    fmax_fmin,
     local_bandwidth_closed,
     local_bandwidth_oracle,
     max_bandwidth,
     omega_from_angles,
     omega_grid,
-    omega_profile,
-    orientation_angles,
     reduce_phi_prime,
     spatial_frequency,
 )
@@ -60,14 +57,11 @@ __all__ = [
     "subtended_angle_oracle",
     "unit",
     "OrientationAngles",
-    "fmax_fmin",
     "local_bandwidth_closed",
     "local_bandwidth_oracle",
     "max_bandwidth",
     "omega_from_angles",
     "omega_grid",
-    "omega_profile",
-    "orientation_angles",
     "reduce_phi_prime",
     "spatial_frequency",
     "KNumber",

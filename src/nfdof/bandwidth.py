@@ -42,17 +42,6 @@ class OrientationAngles:
         return (math.cos(self.psi), sp * math.cos(self.phi), sp * math.sin(self.phi))
 
 
-def orientation_angles(v: Sequence[float]) -> OrientationAngles:
-    """Recover (psi, phi) from a direction vector.
-
-    phi is reduced modulo pi (the bandwidth is pi-periodic in phi); when
-    sin(psi) = 0 the azimuth is undefined and atan2 of the zero (y, z)
-    pair gives phi = 0.
-    """
-    psi, phi = _direction_angles(unit(v))
-    return OrientationAngles(psi=psi, phi=reduce_phi_prime(phi, 0.0))
-
-
 def _direction_angles(v: Vec3) -> tuple[float, float]:
     """(psi, phi) of a unit direction, phi unreduced; acos(v_x) would lose a small sin(psi)."""
     return math.atan2(math.hypot(v[1], v[2]), v[0]), math.atan2(v[2], v[1])
@@ -76,28 +65,6 @@ def spatial_frequency(p: Sequence[float], s: Sequence, v: Sequence[float]) -> fl
     return K0 * (rx * vx + ry * vy + rz * vz) / n
 
 
-def _clipped_fan(phi_prime: float, half: float) -> tuple[float, float]:
-    """Center and half-width of the fan [phi' - half, phi' + half] clipped to [0, pi]."""
-    if phi_prime < half:
-        c = 0.5 * (phi_prime + half)
-        return c, c
-    if phi_prime > math.pi - half:
-        w = 0.5 * (math.pi - phi_prime + half)
-        return math.pi - w, w
-    return phi_prime, half
-
-
-def fmax_fmin(psi: float, phi_prime: float, alpha: float) -> tuple[float, float]:
-    """Extreme spatial frequencies over the arrival fan, for orientation (psi, phi').
-
-    K0 sin(psi) (cos(c - w), cos(c + w)), with c and w the center and
-    half-width of the fan [phi' - alpha/2, phi' + alpha/2] clipped to [0, pi].
-    """
-    s = K0 * math.sin(psi)
-    c, w = _clipped_fan(phi_prime, 0.5 * alpha)
-    return s * math.cos(c - w), s * math.cos(c + w)
-
-
 def omega_from_angles(psi: float, phi_prime: float, alpha: float) -> float:
     """Closed-form local bandwidth for orientation (psi, phi') and fan width alpha.
 
@@ -106,25 +73,26 @@ def omega_from_angles(psi: float, phi_prime: float, alpha: float) -> float:
     continuous across the clip points phi' = alpha/2 and pi - alpha/2.
     Total on psi in [0, pi], phi' in [0, pi], alpha in [0, pi).
     """
-    c, w = _clipped_fan(phi_prime, 0.5 * alpha)
+    half = 0.5 * alpha
+    if phi_prime < half:  # clipped at 0
+        c = w = 0.5 * (phi_prime + half)
+    elif phi_prime > math.pi - half:  # clipped at pi
+        w = 0.5 * (math.pi - phi_prime + half)
+        c = math.pi - w
+    else:
+        c, w = phi_prime, half
     return 2.0 * K0 * math.sin(psi) * math.sin(w) * math.sin(c)
 
 
-def omega_profile(phi_prime: np.ndarray, alpha: float) -> np.ndarray:
-    """In-plane bandwidth profile omega(pi/2, phi'; alpha) over an array of phi', in k0-included units.
-
-    omega_from_angles at psi = pi/2 for each element, in the input's shape;
-    sin(psi) times this profile is the closed form, so grids over
-    (psi, phi') reduce to an outer product (see omega_grid).
-    """
-    pp = np.asarray(phi_prime, dtype=float)
-    values = [omega_from_angles(0.5 * math.pi, x, alpha) for x in pp.ravel().tolist()]
-    return np.array(values, dtype=float).reshape(pp.shape)
-
-
 def omega_grid(psi: np.ndarray, phi_prime: np.ndarray, alpha: float) -> np.ndarray:
-    """Closed-form bandwidth on the tensor grid psi x phi', shape (len(psi), len(phi'))."""
-    return np.outer(np.sin(np.asarray(psi, dtype=float)), omega_profile(phi_prime, alpha))
+    """Closed-form bandwidth on the tensor grid psi x phi', shape (len(psi), len(phi')).
+
+    sin(psi) times the in-plane profile omega_from_angles(pi/2, phi', alpha), one
+    scalar call per phi', so a row at psi = pi/2 equals the scalar form bit for bit.
+    """
+    phis = np.asarray(phi_prime, dtype=float).ravel().tolist()
+    profile = [omega_from_angles(0.5 * math.pi, x, alpha) for x in phis]
+    return np.outer(np.sin(np.asarray(psi, dtype=float)), profile)
 
 
 def local_bandwidth_closed(p: Sequence[float], v: Sequence[float], Ls: float) -> float:

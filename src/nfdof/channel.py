@@ -104,11 +104,13 @@ def los_channel(tx: np.ndarray, rx: np.ndarray) -> ChannelMatrix:
     returns them; the receive antennas index the rows.  The phase 2*pi*r is
     computed from the fractional part of r (in wavelengths) so that no
     precision is lost at large link distances.  The size is checked before
-    any array is allocated.
+    any array is allocated; a distance whose square overflows is refused.
     """
     check_channel_size(len(rx), len(tx))
     diff = rx[:, None, :] - tx[None, :, :]
     r = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    if not np.isfinite(r).all():  # a squared distance past the float range: about 1.3e154 wavelengths
+        raise ValueError("an antenna distance overflows the float range")
     if not r.all():
         raise CoincidentAntennas("a transmit and a receive antenna coincide")
     phase = 2.0 * math.pi * (r - np.floor(r))

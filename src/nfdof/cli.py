@@ -158,7 +158,7 @@ def cmd_svd_spectrum(scenarios: Sequence[Scenario], tau: float = DEFAULT_TAU) ->
     """
     blocks = []
     for sc in scenarios:
-        receiver = ArraySegment(sc.placement.point(), sc.orientation.vector(), sc.Lp)
+        receiver = ArraySegment(sc.placement.point(), sc.orientation, sc.Lp)
         tx = antenna_grid(ArraySegment((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), sc.Ls), sc.spacing_s)
         rx = antenna_grid(receiver, sc.spacing_p)
         H = los_channel(tx, rx)

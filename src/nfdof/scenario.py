@@ -28,9 +28,9 @@ directly, and the parser only adds the field name.  The at most MAX_KMAX_PAIRS
 (R, theta) pairs of kmax-sweep are checked for a K number and for the Lp/2
 reach that maximize_k refuses.  parse_scenarios, the parser of svd-spectrum,
 which places antennas, adds the channel checks: each spacing divides its
-length, the channel has at most MAX_CHANNEL_ENTRIES entries, and the placement
-lies beyond the Lp/2 reach of its search.  _open_fan alone names a geometry
-error's field.
+length, the channel has at most MAX_CHANNEL_ENTRIES entries, the placement
+lies beyond the Lp/2 reach of its search, and no antenna distance overflows.
+_open_fan alone names a geometry error's field.
 """
 
 from __future__ import annotations
@@ -44,10 +44,10 @@ from typing import IO, Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
-from .bandwidth import OrientationAngles, orientation_angles
-from .channel import check_channel_size, grid_steps
+from .bandwidth import OrientationAngles
+from .channel import antenna_grid, check_channel_size, grid_steps, los_channel
 from .errors import DegenerateGeometry, DegeneratePoint, RangeError, SchemaError
-from .geometry import PolarPlacement, geometry_angles, optimal_orientation, require_open_fan
+from .geometry import ArraySegment, PolarPlacement, Vec3, geometry_angles, optimal_orientation, require_open_fan
 from .knumber import DEFAULT_QUAD_POINTS, DEFAULT_SEARCH_GRID, MAX_GRID, MIN_SEARCH_AXIS
 from .numerics import QuadratureRule
 
@@ -103,7 +103,7 @@ class Scenario:
     Ls: float
     Lp: float
     placement: PolarPlacement
-    orientation: OrientationAngles
+    orientation: Vec3  # the resolved unit receive direction
     spacing_s: float = DEFAULT_SPACING
     spacing_p: float = DEFAULT_SPACING
     quad_points: int = DEFAULT_QUAD_POINTS
@@ -188,7 +188,8 @@ def parse_scenarios(text: str) -> list[Scenario]:
 
     Beyond the fields svd-spectrum reads, each spacing (the default lambda/2
     too) must divide its length, each channel has at most MAX_CHANNEL_ENTRIES
-    entries, and each placement lies beyond the Lp/2 reach of its search.
+    entries, and each placement lies beyond the Lp/2 reach of its search, at
+    antenna distances that los_channel can square without overflow.
     """
     doc = _decode(text)
     if "scenarios" not in doc:
@@ -211,6 +212,9 @@ def _channel_scenario(doc: Mapping, config_id: int = 0, path: str = "") -> Scena
     n_rx = _checked(path + "spacing_p", grid_steps, sc.Lp, sc.spacing_p) + 1
     _checked(path + "spacing_p", check_channel_size, n_rx, n_tx)
     _open_fan(sc.placement, sc.Ls, path + "placement", path + "placement", 0.5 * sc.Lp)  # open: only reach fails
+    tx = antenna_grid(ArraySegment((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), sc.Ls), sc.spacing_s)
+    rx = antenna_grid(ArraySegment(sc.placement.point(), sc.orientation, sc.Lp), sc.spacing_p)
+    _checked(path + "placement", los_channel, tx[[0, -1]], rx[[0, -1]])  # the farthest pair is a pair of ends
     return sc
 
 
@@ -249,11 +253,11 @@ def _scenario_from_dict(doc: Mapping, reads: Collection[str], config_id: int = 0
     if "orientation" in reads:
         odoc = doc.get("orientation", "optimal")
         if odoc == "optimal":
-            sc["orientation"] = orientation_angles(optimal_orientation(angles))
+            sc["orientation"] = optimal_orientation(angles)
         elif isinstance(odoc, dict):
             psi = _number(_require(odoc, "psi", path + "orientation."), path + "orientation.psi")
             phi = _number(_require(odoc, "phi", path + "orientation."), path + "orientation.phi")
-            sc["orientation"] = _checked(path + "orientation", OrientationAngles, psi, phi)
+            sc["orientation"] = _checked(path + "orientation", OrientationAngles, psi, phi).vector()
         else:
             raise SchemaError(f'{path}orientation: expected "optimal" or an object, got {odoc!r}')
 

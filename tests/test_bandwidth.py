@@ -14,7 +14,6 @@ from nfdof import (
     OrientationAngles,
     PolarPlacement,
     canonicalize,
-    fmax_fmin,
     geometry_angles,
     k_number_numeric,
     local_bandwidth_closed,
@@ -22,11 +21,10 @@ from nfdof import (
     max_bandwidth,
     omega_from_angles,
     omega_grid,
-    omega_profile,
     optimal_orientation,
-    orientation_angles,
     reduce_phi_prime,
     spatial_frequency,
+    unit,
 )
 from nfdof.bandwidth import _direction_angles
 from nfdof.errors import DegeneratePoint
@@ -40,6 +38,12 @@ def fan_extrema_oracle(psi, phi_prime, alpha, n=200_001):
     gammas = np.linspace(-0.5 * alpha, 0.5 * alpha, n)
     f = K0 * math.sin(psi) * np.cos(gammas - phi_prime)
     return float(f.max()), float(f.min())
+
+
+def fan_end_spread(psi, phi_prime, alpha):
+    """K0 sin(psi) (cos(lo) - cos(hi)) over the fan's ends lo, hi clipped to [0, pi]: fmax - fmin."""
+    lo, hi = max(phi_prime - 0.5 * alpha, 0.0), min(phi_prime + 0.5 * alpha, math.pi)
+    return K0 * math.sin(psi) * (math.cos(lo) - math.cos(hi))
 
 
 def omega_mpmath(psi, phi_prime, alpha, dps=40):
@@ -98,21 +102,24 @@ class TestSpatialFrequency:
 
 
 class TestFanExtrema:
+    """omega_from_angles is the spread fmax - fmin of the frequency over the arrival fan."""
+
     def test_bisector_aligned(self):
         alpha = 0.6
-        fmax, fmin = fmax_fmin(0.5 * math.pi, 0.0, alpha)
+        omega = omega_from_angles(0.5 * math.pi, 0.0, alpha)
+        assert omega == pytest.approx(K0 * (1.0 - math.cos(0.5 * alpha)))
+        fmax, fmin = fan_extrema_oracle(0.5 * math.pi, 0.0, alpha)
         assert fmax == pytest.approx(K0)
-        assert fmin == pytest.approx(K0 * math.cos(0.5 * alpha))
+        assert omega == pytest.approx(fmax - fmin, abs=1e-9)
 
     def test_perpendicular_to_plane(self):
-        assert fmax_fmin(0.0, 1.0, 1.0) == (0.0, 0.0)
+        assert omega_from_angles(0.0, 1.0, 1.0) == 0.0
 
     def test_quarter_turn_from_bisector(self):
         alpha = 0.199337
-        fmax, fmin = fmax_fmin(0.5 * math.pi, 0.5 * math.pi, alpha)
-        assert fmax == pytest.approx(K0 * math.sin(0.5 * alpha))
-        assert fmin == pytest.approx(-K0 * math.sin(0.5 * alpha))
-        assert fmax / K0 == pytest.approx(0.09950, abs=1e-4)
+        omega = omega_from_angles(0.5 * math.pi, 0.5 * math.pi, alpha)
+        assert omega == pytest.approx(2.0 * K0 * math.sin(0.5 * alpha))
+        assert 0.5 * omega / K0 == pytest.approx(0.09950, abs=1e-4)
 
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(21)
@@ -120,11 +127,8 @@ class TestFanExtrema:
             psi = rng.uniform(0.0, math.pi)
             pp = rng.uniform(0.0, math.pi)
             alpha = rng.uniform(0.0, math.pi * 0.999)
-            fmax, fmin = fmax_fmin(psi, pp, alpha)
             omax, omin = fan_extrema_oracle(psi, pp, alpha)
-            assert fmax == pytest.approx(omax, abs=1e-9)
-            assert fmin == pytest.approx(omin, abs=1e-9)
-            assert fmax >= fmin
+            assert omega_from_angles(psi, pp, alpha) == pytest.approx(omax - omin, abs=2e-9)
 
     def test_omega_equals_fmax_minus_fmin(self):
         rng = np.random.default_rng(22)
@@ -132,8 +136,7 @@ class TestFanExtrema:
             psi = rng.uniform(0.0, math.pi)
             pp = rng.uniform(0.0, math.pi)
             alpha = rng.uniform(0.0, math.pi * 0.999)
-            fmax, fmin = fmax_fmin(psi, pp, alpha)
-            assert omega_from_angles(psi, pp, alpha) == pytest.approx(fmax - fmin, abs=1e-12)
+            assert omega_from_angles(psi, pp, alpha) == pytest.approx(fan_end_spread(psi, pp, alpha), abs=1e-12)
 
 
 class TestClosedForm:
@@ -322,19 +325,18 @@ class TestBranchStructure:
         assert omega_from_angles(0.5 * math.pi, half - eps, alpha) == pytest.approx(at, abs=1e-12)
         assert omega_from_angles(0.5 * math.pi, half + eps, alpha) == pytest.approx(at, abs=1e-12)
 
-    def test_profile_equals_scalar_form_bit_for_bit(self):
+    def test_grid_equator_row_equals_scalar_form_bit_for_bit(self):
         for alpha in (1e-9, 0.4, 0.9273, 2.8):
             half = 0.5 * alpha
             seams = np.array([half, math.pi - half])
             near = (seams[:, None] + np.array([-1e-13, 0.0, 1e-13])).ravel()
             phis = np.concatenate([np.linspace(0.0, math.pi, 257), near, [0.0, math.pi]])
             scalar = [omega_from_angles(0.5 * math.pi, float(pp), alpha) for pp in phis]
-            assert omega_profile(phis, alpha).tolist() == scalar
-            square = phis[:256].reshape(16, 16)
-            assert omega_profile(square, alpha).shape == (16, 16)
-            assert omega_profile(square, alpha).ravel().tolist() == scalar[:256]
-            point = omega_profile(np.float64(half), alpha)
-            assert point.shape == () and point == omega_from_angles(0.5 * math.pi, half, alpha)
+            assert omega_grid([0.5 * math.pi], phis, alpha).tolist() == [scalar]
+            square = phis[:256].reshape(16, 16)  # phi' of any shape is read flat
+            assert omega_grid([0.5 * math.pi], square, alpha).tolist() == [scalar[:256]]
+            point = omega_grid(0.5 * math.pi, np.float64(half), alpha)
+            assert point.shape == (1, 1) and point[0, 0] == omega_from_angles(0.5 * math.pi, half, alpha)
 
     @pytest.mark.parametrize(
         "psi, phi_prime, alpha",
@@ -434,13 +436,13 @@ class TestGridHelpers:
                         omega_from_angles(float(psis[i]), float(phis[j]), alpha), abs=1e-12
                     )
 
-    def test_profile_is_equator_slice(self):
+    def test_rows_scale_the_equator_row(self):
+        psis = np.linspace(0.0, math.pi, 7)
         phis = np.linspace(0.0, math.pi, 101)
-        prof = omega_profile(phis, 0.7)
-        for j in (0, 33, 50, 100):
-            assert prof[j] == pytest.approx(
-                omega_from_angles(0.5 * math.pi, float(phis[j]), 0.7), abs=1e-12
-            )
+        grid = omega_grid(psis, phis, 0.7)
+        equator = omega_grid([0.5 * math.pi], phis, 0.7)[0]
+        for i, psi in enumerate(psis):
+            assert grid[i].tolist() == (math.sin(psi) * equator).tolist()
 
 
 class TestOrientationRecovery:
@@ -449,14 +451,14 @@ class TestOrientationRecovery:
         for _ in range(1000):
             psi = rng.uniform(0.0, math.pi)
             phi = rng.uniform(0.0, math.pi)
-            ang = orientation_angles(orientation_vector(psi, phi))
-            assert ang.psi == pytest.approx(psi, abs=1e-9)
+            psi_back, phi_back = _direction_angles(unit(orientation_vector(psi, phi)))
+            assert psi_back == pytest.approx(psi, abs=1e-9)
             if math.sin(psi) > 1e-9:
-                assert ang.phi == pytest.approx(phi % math.pi, abs=1e-9)
+                assert reduce_phi_prime(phi_back, 0.0) == pytest.approx(phi % math.pi, abs=1e-9)
 
     def test_azimuth_minus_pi_reduces_to_positive_zero(self):
         # atan2(-0.0, -1.0) = -pi, and fmod(-pi, pi) = -0.0
-        phi = orientation_angles((0.0, -1.0, -0.0)).phi
+        phi = reduce_phi_prime(_direction_angles((0.0, -1.0, -0.0))[1], 0.0)
         assert phi == 0.0 and math.copysign(1.0, phi) == 1.0
         assert math.copysign(1.0, reduce_phi_prime(-math.pi, 0.0)) == 1.0
 
@@ -474,12 +476,13 @@ class TestOrientationRecovery:
         phi_prime = reduce_phi_prime(math.atan2(v[2], v[1]), beta)
         omega_ref = omega_mpmath(psi_ref, phi_prime, alpha)
         bound = 1e-13 + 2.0 * math.ulp(psi) / min(psi, math.pi - psi)
-        assert abs(orientation_angles(v).psi - psi_ref) <= 2.0 * math.ulp(psi)
+        assert abs(_direction_angles(unit(v))[0] - psi_ref) <= 2.0 * math.ulp(psi)
         assert abs(local_bandwidth_closed(p, v, LS) - omega_ref) <= bound * omega_ref
 
     def test_poles_get_zero_azimuth(self):
-        assert orientation_angles((1.0, 0.0, 0.0)).phi == 0.0
-        assert orientation_angles((-1.0, 0.0, 0.0)).phi == 0.0
+        # atan2 of the zero (y, z) pair
+        assert _direction_angles((1.0, 0.0, 0.0)) == (0.0, 0.0)
+        assert _direction_angles((-1.0, 0.0, 0.0)) == (math.pi, 0.0)
 
     def test_phi_prime_reduction(self):
         assert reduce_phi_prime(0.3, 0.1) == pytest.approx(0.2)

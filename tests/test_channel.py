@@ -116,6 +116,20 @@ class TestLosChannel:
         with pytest.raises(CoincidentAntennas):
             los_channel(tx, rx)
 
+    @pytest.mark.parametrize("R", [1.4e154, 1e155, 1e200])
+    def test_overflowing_distance_rejected_before_the_phase(self, R):
+        # the squared distance passes the float range; a RuntimeWarning from the phase fails under
+        # the suite's filterwarnings = error before the ValueError could be seen
+        tx = antenna_grid(tx_segment(100.0), 0.5)
+        rx = antenna_grid(ArraySegment((0.0, R, 0.0), Z_AXIS, 100.0), 0.5)
+        with pytest.raises(ValueError, match="^an antenna distance overflows the float range$"):
+            los_channel(tx, rx)
+
+    def test_largest_distance_that_squares_stays(self):
+        tx = antenna_grid(tx_segment(0.0), 0.5)
+        rx = antenna_grid(ArraySegment((0.0, 1e150, 0.0), Z_AXIS, 0.0), 0.5)
+        assert abs(los_channel(tx, rx).entries[0, 0]) == pytest.approx(1.0 / (4.0 * math.pi * 1e150))
+
 
 class TestSingularSpectrum:
     def test_diagonal(self):

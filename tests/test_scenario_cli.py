@@ -14,8 +14,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nfdof import PolarPlacement, SingularSpectrum, parse_scenario, parse_scenarios, run_validation
-from nfdof.channel import MAX_CHANNEL_ENTRIES
+from nfdof import (
+    OrientationAngles,
+    PolarPlacement,
+    SingularSpectrum,
+    geometry_angles,
+    optimal_orientation,
+    parse_scenario,
+    parse_scenarios,
+    run_validation,
+)
+from nfdof.channel import MAX_CHANNEL_ENTRIES, los_channel
 from nfdof.cli import (
     MAX_AXIS_POINTS,
     _build_parser,
@@ -82,16 +91,30 @@ class TestParseScenario:
         assert sc.sweep == DEFAULT_KMAX_SWEEP and sc.theta_list == DEFAULT_KMAX_THETAS
         assert sc.orientation == parse_scenario(scenario_text(orientation="optimal")).orientation
 
-    def test_optimal_orientation_resolved(self):
-        sc = parse_scenario(scenario_text(placement={"R": 500, "theta": math.pi / 3}))
-        v = sc.orientation.vector()
-        assert v == pytest.approx((0.0, -0.8638413220068705, 0.5037640026772678), abs=1e-9)
-        assert v == pytest.approx((0.0, -0.86395, 0.50358), abs=2e-4)
+    @pytest.mark.parametrize("parse", [parse_scenario, lambda text: parse_scenarios(text)[0]])
+    def test_optimal_orientation_resolved(self, parse):
+        placement = PolarPlacement(500, math.pi / 3)
+        sc = parse(scenario_text(placement={"R": 500, "theta": math.pi / 3}))
+        # the direction itself, with no (psi, phi) round trip to move x off 0 or y and z by an ulp
+        assert sc.orientation == optimal_orientation(geometry_angles(placement.point(), 100.0))
+        assert sc.orientation[0] == 0.0 and math.copysign(1.0, sc.orientation[0]) == 1.0
+        assert sc.orientation == pytest.approx((0.0, -0.8638413220068705, 0.5037640026772678), abs=1e-9)
+        assert sc.orientation == pytest.approx((0.0, -0.86395, 0.50358), abs=2e-4)
 
-    def test_explicit_orientation(self):
-        sc = parse_scenario(scenario_text(orientation={"psi": 1.0, "phi": 2.0}))
-        assert sc.orientation.psi == 1.0
-        assert sc.orientation.phi == 2.0
+    @pytest.mark.parametrize("parse", [parse_scenario, lambda text: parse_scenarios(text)[0]])
+    def test_explicit_orientation(self, parse):
+        sc = parse(scenario_text(orientation={"psi": 1.0, "phi": 2.0}))
+        assert sc.orientation == OrientationAngles(1.0, 2.0).vector()
+
+    def test_optimal_receive_antennas_lie_in_the_plane_x_0(self, monkeypatch):
+        import nfdof.cli as cli_mod
+
+        seen = []
+        monkeypatch.setattr(cli_mod, "los_channel", lambda tx, rx: seen.append(rx) or los_channel(tx, rx))
+        small = dict(MINIMAL, Ls=16, Lp=16, placement={"R": 60, "theta": 0.7}, grid=[8, 8], quad_points=5)
+        cmd_svd_spectrum(parse_scenarios(json.dumps(small)))
+        (rx,) = seen
+        assert rx.shape == (33, 3) and (rx[:, 0] == 0.0).all()
 
     def test_negative_theta_rejected(self):
         with pytest.raises(RangeError, match="placement.theta"):
@@ -344,6 +367,20 @@ class TestFieldChecks:
         assert str(exc.value) == f"scenarios[1].placement: {message}"
         # maps and sweeps search nothing at the placement
         assert parse_scenario(json.dumps(near)).placement.R == 50.0
+
+    @pytest.mark.parametrize("R", [1.4e154, 1e200])
+    def test_placement_whose_antenna_distances_overflow_names_field(self, R, tmp_path, capsys):
+        far = dict(MINIMAL, placement={"R": R, "theta": 0}, grid=[8, 8], quad_points=5)
+        message = "an antenna distance overflows the float range"
+        with pytest.raises(RangeError) as exc:
+            parse_scenarios(json.dumps(far))
+        assert str(exc.value) == f"placement: {message}"
+        cfg = tmp_path / "far.json"
+        cfg.write_text(json.dumps({"scenarios": [MINIMAL, far]}))
+        assert main(["svd-spectrum", "--config", str(cfg)]) == 2  # no RuntimeWarning: the suite makes it an error
+        assert capsys.readouterr().err == f"nfdof: error: scenarios[1].placement: {message}\n"
+        # maps and sweeps place no antennas
+        assert parse_scenario(json.dumps(far), "localbw-sweep").placement.R == R
 
     def test_default_spacing_is_not_checked_against_the_lengths(self):
         # maps and sweeps place no antennas, so any length parses without a spacing
