@@ -4,10 +4,11 @@ Antennas are placed on uniform grids along each array segment; the gain
 between a transmit/receive pair at distance r (wavelengths) is
 ``exp(j * 2*pi * r) / (4*pi*r)``: the free-space amplitude ``lambda/(4*pi*r_m)``
 expressed in wavelength units, where the physical wavelength cancels.
-The singular spectrum is read in three steps: a pivoted Householder QR that
-stops at the noise floor (NOISE_FLOOR * ||H||_F), GRADING_PASSES unpivoted
-LAPACK QRs of the kept rows' conjugate transpose, and cyclic Jacobi on the
-Gram matrix of the result.  Singular values below the floor are reported as 0.
+The singular spectrum is read in five steps: LAPACK's QR of the channel with
+its columns in bit-reversed order, a cut of the trailing rows at half the
+noise floor (NOISE_FLOOR * ||H||_F), GRADING_PASSES unpivoted QRs of the kept
+rows' conjugate transpose, a second cut at the other half, and cyclic Jacobi
+on the Gram matrix of the result.  Values cut at the floor are reported as 0.
 """
 
 from __future__ import annotations
@@ -29,25 +30,25 @@ MAX_CHANNEL_ENTRIES = 4_000_000
 DEFAULT_TAU = 0.1
 "EDoF threshold on normalized singular values when none is given."
 NOISE_FLOOR = 1e-11
-"""delta of singular_spectrum: its QR stops once the unreduced block's Frobenius norm is at most delta * ||H||_F.
+"""delta of singular_spectrum: its two row cuts each drop a block of Frobenius norm at most delta * ||H||_F / 2.
 
-A channel's pivoted R flattens at its own rounding level, about 5e-13 * |r_00| at R = 2000.
-On the benchmark channels 1e-12 to 1e-10 kept 14 to 29 rows and ran alike; 1e-13 kept 79 to
-187 rows of rounding noise and ran slower than no floor at all."""
+On the 192 benchmark channels of seeds 1-3, 1e-12 to 1e-10 kept 14 to 30 values and ran
+alike; 1e-13 kept 84 to 188, mostly rounding noise, and ran as slowly as no floor at all."""
 KEPT_JACOBI_TOL = 1e-14
 """Jacobi tolerance on the Gram matrix of the conditioned kept rows, tighter than HERMITIAN_TOL.
 
 Jacobi's stop is absolute in the Frobenius norm and its skip bound grows as the order
 shrinks, so at HERMITIAN_TOL the kept block stops early: on the 192 benchmark channels of
-seeds 1-3 the values above 1e-6 * sigma_0 then drifted up to 5.8e-11 from np.linalg.svd,
-against 9.3e-14 at this tolerance."""
-GRADING_PASSES = 2
+seeds 1-3 the values above 1e-6 * sigma_0 then drifted up to 1.7e-11 from np.linalg.svd,
+against 9.1e-14 at this tolerance."""
+GRADING_PASSES = 4
 """Unpivoted QR passes X <- R of X^H on the kept rows before Jacobi.
 
-Measured on the 192 benchmark channels of seeds 1-3: Jacobi made 694, 443, 344, 290 and
-257 rotations per channel after 0 to 4 passes, and the worst normalized error read 5.7e-9,
-6.8e-10, 7.0e-11, 1.3e-11 and 1.3e-11.  Two passes carry most of the gain in benchmark
-throughput; a third added about 2% more."""
+Measured on the 192 benchmark channels of seeds 1-3: Jacobi made 1048, 530, 392, 318, 274
+and 242 rotations per channel after 0 to 5 passes, and the worst normalized error read
+7.0e-9, 1.8e-9, 8.6e-11, 1.3e-11, 1.3e-11 and 1.3e-11.  Two passes leave the worst value
+near the 1e-10 bound that the README states; past three the error stays and the rotations
+still fall."""
 
 
 @dataclass(frozen=True)
@@ -67,10 +68,11 @@ def grid_steps(length: float, spacing: float) -> int:
     """Whole number of spacings along an array of ``length``, at most MAX_GRID_STEPS.
 
     Raises NonIntegerGrid when the length is not an integer multiple of
-    the spacing, and ValueError for a non-positive spacing or too many steps.
+    the spacing, and ValueError for a spacing that is not positive and finite
+    or for too many steps.
     """
-    if spacing <= 0.0:
-        raise ValueError(f"spacing must be positive, got {spacing}")
+    if not 0.0 < spacing < math.inf:
+        raise ValueError(f"spacing must be positive and finite, got {spacing}")
     ratio = length / spacing
     if not ratio <= MAX_GRID_STEPS:
         raise ValueError(f"length {length} over spacing {spacing} exceeds {MAX_GRID_STEPS} steps")
@@ -121,34 +123,38 @@ def los_channel(tx: np.ndarray, rx: np.ndarray) -> ChannelMatrix:
 def singular_spectrum(H: ChannelMatrix) -> SingularSpectrum:
     """All singular values of the channel, descending, with the normalized copy.
 
-    The taller of H and H^H is reduced by a Householder QR with column
-    pivoting, A P = Q R, which stops at the first step whose trailing block
-    has a Frobenius norm of at most delta * ||H||_F, delta = NOISE_FLOOR
-    (Businger & Golub 1965).  The r rows reduced by then are kept, and the
-    rows X = R[:r] then pass GRADING_PASSES times through LAPACK's unpivoted
-    QR of their conjugate transpose, X <- R factor of X^H, which is r x r
-    from the first pass on.  Each pass is a unitary change of basis, so the
-    singular values stay those of R[:r], and each grades X X^H further (its
-    diagonal falls off with the singular values and its off-diagonal mass
-    shrinks): this is the second QR of Drmac & Veselic (2008).  The values
-    are the square roots of the eigenvalues of X X^H, found by
-    ``hermitian_eigenvalues`` at KEPT_JACOBI_TOL; the other min(m, n) - r
-    values are 0.  Dropping the trailing block moves each value by at most
-    its norm (Weyl's inequality), so by at most delta * ||H||_F.  On the
-    graded X X^H most Jacobi pivots are already below the skip threshold,
-    so the sweeps stay few (Demmel & Veselic 1992 for the accuracy of
-    Jacobi on graded matrices).  The first QR runs on H times the power of
-    two that puts its largest real or imaginary part in [0.5, 1); values
-    past the float range come back inf (numpy warns), their normalized copy finite.
+    The taller of H and H^H, A, is reduced by LAPACK's unpivoted QR with its
+    columns in bit-reversed order, so that any leading k of them sample the
+    whole array and no pivoting is needed to bring the R factor's trailing
+    rows down to rounding noise.  The trailing rows whose block has a
+    Frobenius norm of at most delta * ||H||_F / 2, delta = NOISE_FLOOR, are
+    dropped, and the kept rows X then pass GRADING_PASSES times through
+    LAPACK's unpivoted QR of their conjugate transpose, X <- R factor of X^H.
+    Each pass is a unitary change of basis, so the singular values stay
+    those of X, and each grades X X^H further (its diagonal falls off with
+    the singular values and its off-diagonal mass shrinks): this is the
+    second QR of Drmac & Veselic (2008).  The graded rows are cut once more
+    at delta * ||H||_F / 2, and the values are the square roots of the
+    eigenvalues of X X^H, found by ``hermitian_eigenvalues`` at
+    KEPT_JACOBI_TOL; the other values are 0.  Each cut moves each value by at
+    most the norm of the dropped block (Weyl's inequality), so the two by at
+    most delta * ||H||_F.  A 0 means a value cut at the floor, but a kept
+    value can lie below it: diag(1, 1e-6, 1e-12, 1e-20) keeps the 1e-12,
+    whose row sits above the 1e-6 in the bit-reversed order.  On the graded
+    X X^H most Jacobi pivots are already below the skip threshold, so the
+    sweeps stay few (Demmel & Veselic 1992 for the accuracy of Jacobi on
+    graded matrices).  The first QR runs on H times the power of two that
+    puts its largest real or imaginary part in [0.5, 1); values past the
+    float range come back inf (numpy warns), their normalized copy finite.
 
     Measured against ``np.linalg.svd`` on the 192 benchmark channels of
-    seeds 1-3 (101 to 201 antennas, r = 15 to 28), the normalized values
-    differ by at most 9.3e-14 wherever they exceed 1e-6 and by at most
-    7.0e-11 anywhere; on the criterion-5 channels (R=500, r = 27 to 40) by
-    3.5e-15 and 4.0e-11.  Against a 40-digit SVD of four 41 x 41 channels
-    the worst error is 1.3e-11 * sigma_0.  The larger errors sit in small
-    kept values, where Jacobi's stop, absolute in the Frobenius norm, moves
-    sigma^2 rather than sigma.
+    seeds 1-3 (101 to 201 antennas, r = 15 to 28 kept values), the
+    normalized values differ by at most 9.1e-14 wherever they exceed 1e-6
+    and by at most 1.3e-11 anywhere; on the criterion-5 channels (R=500,
+    r = 27 to 39) by 4.4e-16 and 1.7e-11.  Against a 40-digit SVD of four
+    41 x 41 channels the worst error is 6.0e-12 * sigma_0.  The larger
+    errors sit in small kept values, where Jacobi's stop, absolute in the
+    Frobenius norm, moves sigma^2 rather than sigma.
     """
     A = H.entries
     if not np.isfinite(A).all():
@@ -156,54 +162,30 @@ def singular_spectrum(H: ChannelMatrix) -> SingularSpectrum:
     if A.shape[0] < A.shape[1]:
         A = A.conj().T
     e = int(np.frexp(max(np.abs(A.real).max(initial=0.0), np.abs(A.imag).max(initial=0.0)))[1])
-    R = _pivoted_r(np.ldexp(A.real, -e) + 1j * np.ldexp(A.imag, -e))
-    X = R[: np.count_nonzero(np.diagonal(R))]  # the rows below the floor are zero
+    A = np.ldexp(A.real, -e) + 1j * np.ldexp(A.imag, -e)
+    floor = 0.5 * NOISE_FLOOR * np.linalg.norm(A)
+    X = _kept_rows(np.linalg.qr(A[:, _bit_reversed(A.shape[1])], mode="r"), floor)
     for _ in range(GRADING_PASSES):
         X = np.linalg.qr(X.conj().T, mode="r")
+    X = _kept_rows(X, floor)
     eig = hermitian_eigenvalues(X @ X.conj().T, tol=KEPT_JACOBI_TOL)
-    scaled = np.zeros(R.shape[0])
+    scaled = np.zeros(A.shape[1])
     scaled[: eig.size] = np.sqrt(np.maximum(eig, 0.0))
     top = scaled[0] if scaled.size else 0.0
     normalized = scaled / top if top > 0.0 else np.zeros_like(scaled)
     return SingularSpectrum(values=np.ldexp(scaled, e), normalized=normalized)
 
 
-def _pivoted_r(A: np.ndarray) -> np.ndarray:
-    """R of the Householder QR with column pivoting A P = Q R, min(m, n) x n.
+def _bit_reversed(n: int) -> list[int]:
+    """0 .. n-1 in bit-reversed order: any leading k of them spread over the whole range."""
+    bits = (n - 1).bit_length()
+    return [j for j in (int(f"{i:0{bits}b}"[::-1], 2) for i in range(1 << bits)) if j < n]
 
-    Each step moves the trailing column of largest norm to the front and
-    reflects it onto the axis.  The trailing norms are recomputed at every
-    step rather than downdated, so no pivot rests on a cancelled norm, and
-    |R[j, j]| does not increase with j.  The steps stop once the trailing
-    block's Frobenius norm is at most NOISE_FLOOR * ||A||_F; the rows not
-    reduced by then are zero, as is their diagonal.
-    """
-    R = np.array(A, dtype=np.complex128)
-    m, n = R.shape
-    k = min(m, n)
-    floor = NOISE_FLOOR * np.linalg.norm(R)
-    for j in range(k):
-        block = R[j:, j:]
-        squares = (np.einsum("ij,ij->j", block.real, block.real)
-                   + np.einsum("ij,ij->j", block.imag, block.imag))
-        if math.sqrt(squares.sum()) <= floor:  # the trailing block's Frobenius norm
-            R[j:k] = 0.0
-            break
-        norms = np.sqrt(squares)
-        p = int(np.argmax(norms))
-        if p:
-            R[:, [j, j + p]] = R[:, [j + p, j]]
-        v = block[:, 0].copy()
-        # numpy's v[0] / |v[0]| multiplies by 1 / |v[0]|, which overflows for a subnormal v[0]
-        scale = max(abs(v[0].real), abs(v[0].imag))
-        u = complex(v[0].real / scale, v[0].imag / scale) if scale else 1.0
-        v[0] += u / abs(u) * norms[p]  # v = x - alpha e1 with alpha = -(u / |u|) * |x|
-        v /= np.linalg.norm(v)
-        # 2.0 * v is exact and np.outer takes the loop of np.outer(v, ...), so this equals
-        # 2.0 * np.outer(v, ...) without its second temporary, bit for bit wherever the
-        # products are normal numbers
-        block -= np.outer(2.0 * v, v.conj() @ block)
-    return np.triu(R[:k])
+
+def _kept_rows(R: np.ndarray, floor: float) -> np.ndarray:
+    """The leading rows of R, without the trailing rows whose block has a Frobenius norm <= floor."""
+    tail = np.cumsum((R.real**2 + R.imag**2).sum(axis=1)[::-1])[::-1]
+    return R[: np.count_nonzero(tail > floor * floor)]
 
 
 def threshold_tau(tau: float, path: str = "tau") -> float:

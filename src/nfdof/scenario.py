@@ -104,13 +104,13 @@ class Scenario:
     Lp: float
     placement: PolarPlacement
     orientation: Vec3  # the resolved unit receive direction
-    spacing_s: float = DEFAULT_SPACING
-    spacing_p: float = DEFAULT_SPACING
-    quad_points: int = DEFAULT_QUAD_POINTS
-    grid: tuple[int, int] = DEFAULT_SEARCH_GRID
-    sweep: SweepSpec = DEFAULT_KMAX_SWEEP
-    theta_list: tuple[float, ...] = DEFAULT_KMAX_THETAS
-    config_id: int = 0
+    spacing_s: float
+    spacing_p: float
+    quad_points: int
+    grid: tuple[int, int]
+    sweep: SweepSpec
+    theta_list: tuple[float, ...]
+    config_id: int
 
 
 def _require(doc: Mapping, key: str, path: str = "") -> object:

@@ -20,7 +20,7 @@ from nfdof import (
     optimal_orientation,
     singular_spectrum,
 )
-from nfdof.channel import KEPT_JACOBI_TOL, NOISE_FLOOR, _pivoted_r
+from nfdof.channel import KEPT_JACOBI_TOL, NOISE_FLOOR, _bit_reversed
 from nfdof.errors import AllZeroSpectrum, CoincidentAntennas, NonIntegerGrid
 
 Z_AXIS = (0.0, 0.0, 1.0)
@@ -64,9 +64,10 @@ class TestAntennaGrid:
         with pytest.raises(NonIntegerGrid):
             antenna_grid(tx_segment(100.0), 0.3)
 
-    def test_non_positive_spacing_rejected(self):
-        with pytest.raises(ValueError):
-            antenna_grid(tx_segment(100.0), 0.0)
+    @pytest.mark.parametrize("spacing", [0.0, -0.5, math.inf, -math.inf, math.nan])
+    def test_spacing_not_positive_and_finite_rejected(self, spacing):
+        with pytest.raises(ValueError, match="spacing must be positive and finite"):
+            antenna_grid(tx_segment(100.0), spacing)
 
 
 class TestLosChannel:
@@ -146,7 +147,7 @@ class TestSingularSpectrum:
         s = singular_spectrum(H)
         top = np.linalg.norm(u) * np.linalg.norm(v)
         assert s.values[0] == pytest.approx(top, rel=1e-12)
-        # the pivoted R resolves the zeros to ~1e-16 * sigma_1; this bound is loose
+        # the rows past the first fall below the noise floor and are cut; this bound is loose
         assert s.values[1:] == pytest.approx(np.zeros(3), abs=1e-7 * top)
 
     def test_matches_reference_svd(self):
@@ -229,7 +230,7 @@ class TestNoiseFloor:
         dev = np.abs(s - ref)
         assert dev[ref > 1e-6].max() <= 1e-12
         # Jacobi on the full R R^H at HERMITIAN_TOL was off by up to 1.25e-8 on these channels,
-        # on the unconditioned kept rows by up to 4.9e-9; after the QR passes the worst is 4.0e-11
+        # on the unconditioned kept rows by up to 4.5e-9; after the QR passes the worst is 2.1e-11
         assert dev.max() <= 1e-10
         dropped = s == 0.0
         assert dropped.any()
@@ -256,7 +257,7 @@ class TestNoiseFloor:
     @pytest.mark.parametrize("R", [60.0, 100.0, 140.0, 180.0])
     def test_mpmath_oracle(self, R):
         # 41 x 41 channels against a 40-digit SVD, independent of LAPACK and of Jacobi; the
-        # worst of the four reads 1.3e-11 * sigma_0 (R = 60), and 5.0e-10 without the QR passes
+        # worst of the four reads 6.0e-12 * sigma_0 (R = 100), and 4.0e-9 without the QR passes
         H = build_channel(R, 0.3, 20.0, 20.0, 0.5)
         with mpmath.workdps(40):
             ref = mpmath.svd_c(mpmath.matrix(H.entries.tolist()), compute_uv=False)
@@ -264,70 +265,52 @@ class TestNoiseFloor:
         s = singular_spectrum(H).values
         assert np.abs(s - ref).max() <= 5e-11 * ref[0]
 
-
-def complex_normal(rng, shape):
-    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
-
-
-class TestPivotedR:
-    def _check_factor(self, A):
-        R = _pivoted_r(A)
-        m, n = A.shape
-        assert R.shape == (min(m, n), n)
-        assert np.isfinite(R).all()
-        assert (np.tril(R, -1) == 0.0).all()
-        d = np.abs(np.diag(R))
-        # pivoting on recomputed norms: |r_jj| is the largest trailing norm at step j
-        assert (d[1:] <= d[:-1] * (1.0 + 1e-12)).all()
-        # R = Q^H A P keeps the singular values
-        top = max(np.linalg.norm(A, 2), 1.0)
-        assert np.linalg.svd(R, compute_uv=False) == pytest.approx(
-            np.linalg.svd(A, compute_uv=False), abs=1e-12 * top
-        )
-        return R
-
-    def test_tall_and_wide(self):
-        rng = np.random.default_rng(61)
-        for shape in ((12, 7), (7, 7), (5, 9), (1, 4), (4, 1)):
-            self._check_factor(complex_normal(rng, shape))
-
-    def test_graded_columns_are_pivoted_first(self):
-        rng = np.random.default_rng(62)
-        A = complex_normal(rng, (9, 6)) * np.array([1e-6, 1.0, 1e-3, 1e-9, 1e-1, 1e-12])
-        d = np.abs(np.diag(self._check_factor(A)))
-        assert d[0] > 1e-2 and d[-1] < 1e-9
-
-    def test_zero_matrix(self):
-        R = self._check_factor(np.zeros((5, 3), dtype=complex))
-        assert (R == 0.0).all()
-
-    def test_rank_one(self):
-        rng = np.random.default_rng(63)
-        u, v = complex_normal(rng, 8), complex_normal(rng, 5)
-        R = self._check_factor(np.outer(u, v.conj()))
-        top = np.linalg.norm(u) * np.linalg.norm(v)
-        assert abs(R[0, 0]) == pytest.approx(np.linalg.norm(u) * np.abs(v).max(), rel=1e-12)
-        assert np.linalg.norm(R[0]) == pytest.approx(top, rel=1e-12)
-        assert np.abs(R[1:]).max() <= 1e-14 * top
-
-    def test_zero_column(self):
-        rng = np.random.default_rng(64)
-        A = complex_normal(rng, (6, 4))
-        A[:, 1] = 0.0
-        R = self._check_factor(A)
-        assert (R[-1] == 0.0).all()  # rank 3: the last step finds no column left
-        assert (np.abs(np.diag(R))[:3] > 0.0).all()
-
     @pytest.mark.parametrize("theta", [0.0, math.pi / 6.0, math.pi / 3.0])
     def test_spectrum_matches_reference_svd(self, theta):
         # The criterion-5 channels.  Jacobi on the plain Gram matrix H^H H misses
-        # this bound by about 2.6e-10, so passing it needs the graded R.
+        # this bound by about 2.6e-10, so passing it needs the graded rows.
         H = build_channel(500.0, theta, 100.0, 100.0, 0.5)
         s = singular_spectrum(H)
         ref = np.linalg.svd(H.entries, compute_uv=False)
         ref = ref / ref[0]
         resolved = ref > 1e-6
         assert np.abs(s.normalized - ref)[resolved].max() <= 1e-10
+
+
+def complex_normal(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+class TestColumns:
+    @pytest.mark.parametrize("Ls, Lp", [(100.0, 50.0), (50.0, 100.0), (100.0, 200.0)])
+    def test_column_permutation_moves_values_by_at_most_the_floor(self, Ls, Lp):
+        # the values of H P are those of H; the two cuts move either by at most the floor
+        H = build_channel(500.0, 0.5, Ls, Lp, 0.5)
+        base = singular_spectrum(H).values
+        floor = NOISE_FLOOR * np.linalg.norm(H.entries)
+        n = H.entries.shape[1]
+        rng = np.random.default_rng(65)
+        # argsort(_bit_reversed(n)) hands a tall H to the QR in its natural order
+        for order in (np.argsort(_bit_reversed(n)), np.arange(n)[::-1], rng.permutation(n), rng.permutation(n)):
+            s = singular_spectrum(ChannelMatrix(entries=H.entries[:, order])).values
+            assert np.abs(s - base).max() <= floor
+
+    def test_graded_columns(self):
+        rng = np.random.default_rng(62)
+        A = complex_normal(rng, (9, 6)) * np.array([1e-6, 1.0, 1e-3, 1e-9, 1e-1, 1e-12])
+        s = singular_spectrum(ChannelMatrix(entries=A)).values
+        ref = np.linalg.svd(A, compute_uv=False)
+        assert np.abs(s - ref).max() <= NOISE_FLOOR * np.linalg.norm(A)
+        assert s[-1] == 0.0  # the 1e-12 column is cut at the floor
+
+    def test_zero_column(self):
+        rng = np.random.default_rng(64)
+        A = complex_normal(rng, (6, 4))
+        A[:, 1] = 0.0
+        s = singular_spectrum(ChannelMatrix(entries=A)).values
+        ref = np.linalg.svd(A, compute_uv=False)
+        assert s[:3] == pytest.approx(ref[:3], rel=1e-12)
+        assert s[3] == 0.0  # rank 3: the zero column's row is cut at the floor
 
 
 class TestEdof:

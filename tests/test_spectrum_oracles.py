@@ -1,13 +1,11 @@
 """The spectrum kernels against the slow loops they replaced, bit for bit.
 
 ``cyclic_jacobi`` steps through every upper-triangle pivot in Python and
-rotates through list-index copies; ``householder_r`` swaps a pivot column
-into place even when it is there already.
-Both keep the kernels' stop rules: the QR stops at the noise floor, the kept
-rows pass through GRADING_PASSES unpivoted LAPACK QRs of their conjugate
-transpose, and the Jacobi on their Gram matrix runs at KEPT_JACOBI_TOL.
-``hermitian_eigenvalues`` and ``_pivoted_r`` must give the same arrays, so
-``np.array_equal`` is the only comparison used here.
+rotates through list-index copies; ``kept_rows_loop`` adds the trailing rows'
+squared norms one row at a time.  Both keep the kernels' stop rules: the rows
+are cut at the noise floor, and the Jacobi on the kept rows' Gram matrix runs
+at KEPT_JACOBI_TOL.  ``hermitian_eigenvalues`` and ``_kept_rows`` must give
+the same arrays, so ``np.array_equal`` is the only comparison used here.
 """
 
 import math
@@ -18,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from nfdof import ChannelMatrix, hermitian_eigenvalues, singular_spectrum
-from nfdof.channel import GRADING_PASSES, KEPT_JACOBI_TOL, NOISE_FLOOR, _pivoted_r
+from nfdof import ChannelMatrix, channel, hermitian_eigenvalues, singular_spectrum
+from nfdof.channel import KEPT_JACOBI_TOL, _kept_rows
 from nfdof.numerics import HERMITIAN_TOL
 
 from test_channel import build_channel
@@ -64,53 +62,29 @@ def cyclic_jacobi(M, tol=HERMITIAN_TOL, max_sweeps=100):
     return eig
 
 
-def householder_r(A):
-    """The pivoted Householder R with an unconditional swap."""
-    R = np.array(A, dtype=np.complex128)
-    m, n = R.shape
-    k = min(m, n)
-    floor = NOISE_FLOOR * np.linalg.norm(R)
-    for j in range(k):
-        block = R[j:, j:]
-        squares = (np.einsum("ij,ij->j", block.real, block.real)
-                   + np.einsum("ij,ij->j", block.imag, block.imag))
-        if math.sqrt(squares.sum()) <= floor:
-            R[j:k] = 0.0
-            break
-        norms = np.sqrt(squares)
-        p = int(np.argmax(norms))
-        R[:, [j, j + p]] = R[:, [j + p, j]]
-        v = block[:, 0].copy()
-        scale = max(abs(v[0].real), abs(v[0].imag))
-        u = complex(v[0].real / scale, v[0].imag / scale) if scale else 1.0
-        v[0] += u / abs(u) * norms[p]
-        v /= np.linalg.norm(v)
-        # 2.0 * np.outer(v, ...), the form this loop first had, rounds unlike this where a
-        # product is subnormal
-        block -= np.outer(2.0 * v, v.conj() @ block)
-    return np.triu(R[:k])
+def kept_rows_loop(R, floor):
+    """R down to its last row whose trailing block has a squared norm above floor^2."""
+    tail = 0.0
+    for i in reversed(range(R.shape[0])):
+        tail += float(np.sum(R[i].real ** 2 + R[i].imag ** 2))
+        if tail > floor * floor:
+            return R[: i + 1]
+    return R[:0]
 
 
-def assert_same_route(H):
-    """Each stage of singular_spectrum equals the replaced one on the same input.
+def kept_gram(H, monkeypatch):
+    """The spectrum of H and the Gram matrix that singular_spectrum hands to Jacobi."""
+    grams = []
 
-    Returns R and the kept rank, the count of rows above the noise floor.
-    """
-    A = H.entries if H.entries.shape[0] >= H.entries.shape[1] else H.entries.conj().T
-    R = householder_r(A)
-    assert np.array_equal(_pivoted_r(A), R)
-    rank = int(np.count_nonzero(np.diagonal(R)))
-    assert not R[rank:].any()
-    X = R[:rank]
-    for _ in range(GRADING_PASSES):
-        X = np.linalg.qr(X.conj().T, mode="r")
-    G = X @ X.conj().T
-    eig = cyclic_jacobi(G, tol=KEPT_JACOBI_TOL)
-    assert np.array_equal(hermitian_eigenvalues(G, tol=KEPT_JACOBI_TOL), eig)
-    values = np.zeros(R.shape[0])
-    values[:rank] = np.sqrt(np.maximum(eig, 0.0))
-    assert np.array_equal(singular_spectrum(H).values, values)
-    return R, rank
+    def record(M, tol):
+        assert tol == KEPT_JACOBI_TOL
+        grams.append(M)
+        return hermitian_eigenvalues(M, tol=tol)
+
+    monkeypatch.setattr(channel, "hermitian_eigenvalues", record)
+    s = singular_spectrum(H)
+    (G,) = grams
+    return s, G
 
 
 def random_hermitian(rng, eigenvalues):
@@ -121,9 +95,8 @@ def random_hermitian(rng, eigenvalues):
 
 
 class TestChannels:
-    # (Ls, Lp): the order of R R^H is the smaller antenna count; a wide H is
-    # reduced through the F-ordered H^H, so _pivoted_r works on an F-ordered copy.
-    # The kept rank is the count of rows the QR reduces before the noise floor.
+    # (Ls, Lp): the QR runs on the taller of H and H^H, so the Gram matrix never exceeds
+    # the smaller antenna count.  The kept rank is the order of that Gram matrix.
     @pytest.mark.parametrize(
         "Ls, Lp, order, tall, rank",
         [
@@ -133,42 +106,45 @@ class TestChannels:
             (200.0, 100.0, 201, False, 56),
         ],
     )
-    def test_channel_spectra_equal_the_cyclic_loop(self, Ls, Lp, order, tall, rank):
+    def test_channel_spectra_equal_the_cyclic_loop(self, Ls, Lp, order, tall, rank, monkeypatch):
         H = build_channel(500.0, math.pi / 6.0, Ls, Lp, 0.5)
         assert (H.entries.shape[0] > H.entries.shape[1]) == tall
-        R, kept = assert_same_route(H)
-        assert R.shape == (order, order)
-        assert kept == rank
+        s, G = kept_gram(H, monkeypatch)
+        assert np.array_equal(hermitian_eigenvalues(G, tol=KEPT_JACOBI_TOL), cyclic_jacobi(G, tol=KEPT_JACOBI_TOL))
+        assert s.values.shape == (order,)
+        assert G.shape == (rank, rank)
+        assert (s.values[:rank] > 0.0).all() and not s.values[rank:].any()
 
-    def test_rank_deficient_channel_stops_at_a_zero_norm(self):
+    def test_rank_deficient_channel_stops_at_a_zero_norm(self, monkeypatch):
         entries = build_channel(500.0, math.pi / 6.0, 50.0, 100.0, 0.5).entries.copy()
         entries[:, 7] = 0.0  # a dead transmit antenna: rank 100 of 101
-        R, kept = assert_same_route(ChannelMatrix(entries=entries))
-        # the QR stops at the noise floor, long before the zero column
-        assert kept == 25
-        assert np.isfinite(R).all()
-        assert (R[-1] == 0.0).all()
+        s, G = kept_gram(ChannelMatrix(entries=entries), monkeypatch)
+        assert np.array_equal(hermitian_eigenvalues(G, tol=KEPT_JACOBI_TOL), cyclic_jacobi(G, tol=KEPT_JACOBI_TOL))
+        # the rows are cut at the noise floor, long before the zero column
+        assert G.shape == (25, 25)
+        assert np.isfinite(s.values).all()
+        assert s.values[-1] == 0.0
 
 
-class TestPivotedR:
-    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+class TestKeptRows:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(
-        parts=st.tuples(st.integers(1, 8), st.integers(1, 8)).flatmap(
+        parts=st.tuples(st.integers(0, 8), st.integers(1, 8)).flatmap(
             lambda shape: hnp.arrays(np.float64, (2, *shape), elements=st.floats(-1e3, 1e3, width=64))
-        )
+        ),
+        floor=st.one_of(st.just(0.0), st.floats(1e-3, 1e4)),
     )
-    def test_small_matrices(self, parts):
-        A = parts[0] + 1j * parts[1]
-        assert np.array_equal(_pivoted_r(A), householder_r(A))
+    def test_small_triangular_matrices(self, parts, floor):
+        R = np.triu(parts[0] + 1j * parts[1])
+        assert np.array_equal(_kept_rows(R, floor), kept_rows_loop(R, floor))
 
     @pytest.mark.parametrize("n", [1, 2, 5])
-    def test_square_matrices(self, n):
-        # a square R ends on a 1 x 1 block, where np.multiply.outer(2.0 * v, w)
-        # rounds unlike 2.0 * np.outer(v, w) for about 4 in 10 normal draws
-        rng = np.random.default_rng(80 + n)
-        for _ in range(20):
-            A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            assert np.array_equal(_pivoted_r(A), householder_r(A))
+    def test_floor_at_a_row_norm(self, n):
+        # a floor at a trailing block's own norm, where the rounding of the sums decides the cut
+        R = np.triu(np.random.default_rng(80 + n).normal(size=(n, n)) + 0j)
+        for i in range(n):
+            floor = math.sqrt(float(np.sum(R[i:].real ** 2)))
+            assert np.array_equal(_kept_rows(R, floor), kept_rows_loop(R, floor))
 
 
 class TestHermitianMatrices:
@@ -198,7 +174,7 @@ class TestHermitianMatrices:
     )
     def test_small_hermitian_matrices(self, parts, grading):
         # D (X + X^H) D: a row and column scale of 10^-8 to 1 grades the matrix
-        # as the pivoted R grades R R^H, so many pivots fall below the skip bound
+        # as the QR passes grade X X^H, so many pivots fall below the skip bound
         n = parts.shape[1]
         X = parts[0] + 1j * parts[1]
         d = 10.0 ** np.array(grading[:n], dtype=float)
