@@ -72,6 +72,8 @@ class ArraySegment:
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         object.__setattr__(self, "direction", unit(self.direction))
         object.__setattr__(self, "length", float(self.length))
+        if not all(map(math.isfinite, self.center)):
+            raise ValueError(f"segment center must be finite, got {self.center}")
         if not 0.0 <= self.length < math.inf:  # also NaN
             raise ValueError(f"segment length must be >= 0 and finite, got {self.length}")
 

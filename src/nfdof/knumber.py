@@ -89,8 +89,8 @@ def maximize_k(
     """
     _require_Lp(Lp)
     n_psi, n_phi = grid
-    if not MIN_SEARCH_AXIS <= min(grid) <= max(grid) <= MAX_GRID:
-        raise ValueError(f"each search grid axis must lie in [{MIN_SEARCH_AXIS}, {MAX_GRID}], got {grid}")
+    if not all(isinstance(n, (int, np.integer)) and MIN_SEARCH_AXIS <= n <= MAX_GRID for n in grid):
+        raise ValueError(f"each search grid axis must be an integer in [{MIN_SEARCH_AXIS}, {MAX_GRID}], got {grid}")
     p0 = placement.point()
     _, beta = require_open_fan(geometry_angles(p0, Ls, 0.5 * Lp))
 

@@ -23,6 +23,8 @@ class QuadratureRule:
     nodes: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.nodes, (int, np.integer)):
+            raise InvalidRule(f"need an integer node count, got {self.nodes!r}")
         if not MIN_NODES <= self.nodes <= MAX_QUAD_POINTS:
             raise InvalidRule(f"need {MIN_NODES} to {MAX_QUAD_POINTS} nodes, got {self.nodes}")
         if self.nodes % 2 == 0:

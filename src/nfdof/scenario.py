@@ -75,6 +75,8 @@ class SweepSpec:
     count: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.count, (int, np.integer)):
+            raise ValueError(f"sweep count must be an integer, got {self.count!r}")
         if not 1 <= self.count <= MAX_SWEEP_COUNT:
             raise ValueError(f"sweep count must lie in [1, {MAX_SWEEP_COUNT}], got {self.count}")
         if self.count == 1 and self.stop != self.start:

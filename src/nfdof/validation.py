@@ -1,10 +1,10 @@
 """Self-check harness: cross-validates the closed forms against their oracles.
 
-Each check draws seeded random configurations, compares two independent
-computation routes, and reports the worst deviation.  The harness backs
-the ``nfdof validate`` subcommand.  Cases are drawn in blocks of rows from
-the stream that one scalar draw per value would read, so no case, and no
-report line, depends on the block size.
+Each check draws seeded random configurations, compares two computation
+routes (the seam check: two branches of the one closed form), and reports
+the worst deviation.  The harness backs the ``nfdof validate`` subcommand.
+Cases are drawn in blocks of rows from the stream that one scalar draw per
+value would read, so no case, and no report line, depends on the block size.
 """
 
 from __future__ import annotations
@@ -138,38 +138,27 @@ def _arrival_direction(P, z_src: float) -> tuple[float, float]:
 
 
 def check_orientation_maximum(seed: int, n_cases: int) -> CheckResult:
-    """Grid maximum of the closed form against 2*K0*sin(alpha/2)."""
+    """Grid maximum against 2*K0*sin(alpha/2) to roundoff: the odd grid has the maximizer (pi/2, pi/2) as a node."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     psis = phis = np.linspace(0.0, math.pi, MAXIMUM_GRID)
-    h = math.pi / (MAXIMUM_GRID - 1)
-    tol = K0 * h * h + ROUNDOFF_FLOOR  # quadratic dip of the max between grid nodes
     for P in _random_points(rng, n_cases, 0.5 * math.pi * 0.98):
         alpha, _ = geometry_angles(P, LS)
         grid_max = float(omega_grid(psis, phis, alpha).max())
         worst = max(worst, abs(grid_max - max_bandwidth(alpha)))
-    return _result("orientation maximum vs closed grid", n_cases, worst, tol)
+    return _result("orientation maximum vs closed grid", n_cases, worst, ROUNDOFF_FLOOR)
 
 
 def check_branch_continuity(seed: int, n_cases: int) -> CheckResult:
-    """Branch values must agree at the seams phi' = alpha/2 and pi - alpha/2."""
+    """Clipped branches one float outside their seams against the unclipped value at alpha/2, taken at both."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for alpha, psi in _draws(rng, n_cases, (1e-6, math.pi * 0.999), (0.0, math.pi)):
-        s, half = math.sin(psi), 0.5 * alpha
-        lo_a = K0 * s * (1.0 - math.cos(half + half))
-        lo_b = 2.0 * K0 * s * math.sin(half) * math.sin(half)
-        hi_a = 2.0 * K0 * s * math.sin(half) * math.sin(math.pi - half)
-        hi_b = K0 * s * (1.0 + math.cos(half - (math.pi - half)))
-        lo = omega_from_angles(psi, half, alpha)
-        hi = omega_from_angles(psi, math.pi - half, alpha)
-        worst = max(
-            worst,
-            abs(lo - lo_a),
-            abs(lo - lo_b),
-            abs(hi - hi_a),
-            abs(hi - hi_b),
-        )
+        half = 0.5 * alpha
+        seam = omega_from_angles(psi, half, alpha)
+        low = omega_from_angles(psi, math.nextafter(half, 0.0), alpha)
+        high = omega_from_angles(psi, math.nextafter(math.pi - half, math.pi), alpha)
+        worst = max(worst, abs(low - seam), abs(high - seam))
     return _result("branch continuity at the seams", n_cases, worst, 1e-12)
 
 

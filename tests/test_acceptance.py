@@ -118,22 +118,12 @@ def test_criterion_3_branch_continuity_and_periodicity():
     for _ in range(500):
         alpha = rng.uniform(1e-6, math.pi * 0.999)
         psi = rng.uniform(0.0, math.pi)
-        s, half = math.sin(psi), 0.5 * alpha
-        seam_lo = (
-            K0 * s * (1.0 - math.cos(2.0 * half)),
-            2.0 * K0 * s * math.sin(half) ** 2,
-            omega_from_angles(psi, half, alpha),
-        )
-        seam_hi = (
-            2.0 * K0 * s * math.sin(half) * math.sin(math.pi - half),
-            K0 * s * (1.0 + math.cos(2.0 * half - math.pi)),
-            omega_from_angles(psi, math.pi - half, alpha),
-        )
-        worst_seam = max(
-            worst_seam,
-            max(seam_lo) - min(seam_lo),
-            max(seam_hi) - min(seam_hi),
-        )
+        # each clipped branch one float outside its seam against the unclipped value at alpha/2
+        half = 0.5 * alpha
+        seam = omega_from_angles(psi, half, alpha)
+        low = omega_from_angles(psi, math.nextafter(half, 0.0), alpha)
+        high = omega_from_angles(psi, math.nextafter(math.pi - half, math.pi), alpha)
+        worst_seam = max(worst_seam, abs(low - seam), abs(high - seam))
 
     worst_period = 0.0
     psis = np.linspace(0.0, math.pi, 181)

@@ -303,19 +303,15 @@ class TestOracle:
 
 class TestBranchStructure:
     def test_continuity_at_seams(self):
+        # each clipped branch one float outside its seam meets the unclipped value at alpha/2
         rng = np.random.default_rng(25)
         for _ in range(500):
             alpha = rng.uniform(1e-6, math.pi * 0.999)
             psi = rng.uniform(0.0, math.pi)
-            s, half = math.sin(psi), 0.5 * alpha
-            low_from_first = K0 * s * (1.0 - math.cos(2.0 * half))
-            low_from_mid = 2.0 * K0 * s * math.sin(half) * math.sin(half)
-            high_from_mid = 2.0 * K0 * s * math.sin(half) * math.sin(math.pi - half)
-            high_from_last = K0 * s * (1.0 + math.cos(half - (math.pi - half)))
-            assert abs(low_from_first - low_from_mid) <= 1e-12
-            assert abs(high_from_mid - high_from_last) <= 1e-12
-            assert abs(omega_from_angles(psi, half, alpha) - low_from_first) <= 1e-12
-            assert abs(omega_from_angles(psi, math.pi - half, alpha) - high_from_last) <= 1e-12
+            half = 0.5 * alpha
+            seam = omega_from_angles(psi, half, alpha)
+            assert abs(omega_from_angles(psi, math.nextafter(half, 0.0), alpha) - seam) <= 1e-12
+            assert abs(omega_from_angles(psi, math.nextafter(math.pi - half, math.pi), alpha) - seam) <= 1e-12
 
     def test_snap_keeps_values_continuous(self):
         alpha = 0.4

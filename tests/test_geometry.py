@@ -396,6 +396,12 @@ class TestArraySegment:
         with pytest.raises(ValueError, match="^segment length must be >= 0 and finite, got"):
             ArraySegment((0.0, 500.0, 0.0), (0.0, 0.0, 1.0), length)
 
+    @pytest.mark.parametrize("center", [(0.0, math.nan, 0.0), (math.inf, 500.0, 0.0), (0.0, 500.0, -math.inf)])
+    def test_non_finite_center_rejected(self, center):
+        # a NaN center once reached los_channel, which blamed an overflowing distance
+        with pytest.raises(ValueError, match="^segment center must be finite, got"):
+            ArraySegment(center, (0.0, 0.0, 1.0), 100.0)
+
 
 class TestUnit:
     def test_normal_range_divides_by_the_sqrt_of_the_squares(self):

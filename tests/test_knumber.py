@@ -264,7 +264,7 @@ class TestMaximize:
         assert res.best_orientation.psi == psis[2]
         assert abs(math.remainder(reduce_phi_prime(res.best_orientation.phi, beta) - phis[3], math.pi)) < 1e-12
 
-    @pytest.mark.parametrize("grid", [(4, 64), (MAX_GRID + 1, 8), (8, 10**6)])
+    @pytest.mark.parametrize("grid", [(4, 64), (MAX_GRID + 1, 8), (8, 10**6), (8.5, 8), (8, 64.0)])
     def test_grid_axis_outside_bounds_rejected(self, grid, monkeypatch):
         def no_evaluation(*args):
             raise AssertionError("K evaluated before the grid was checked")
@@ -309,6 +309,14 @@ class TestMaximize:
         )
         maximize_k(PolarPlacement(50.0 + 1e-6, 0.0), LP, LS, grid=(8, 8))
         assert len(calls) == 8 * 8 + 21 * 21
+
+    def test_numpy_integer_grid_is_searched(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            "nfdof.knumber.k_number_numeric", lambda *a: calls.append(a) or KNumber(1.0)
+        )
+        res = maximize_k(PolarPlacement(500.0, 0.0), LP, LS, grid=(np.int64(8), np.int64(9)))
+        assert len(calls) == 8 * 9 + 21 * 21 and res.grid_resolution == (8, 9)
 
 
 class TestFourDistanceOracle:

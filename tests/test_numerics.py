@@ -100,6 +100,17 @@ class TestIntegrate:
         with pytest.raises(InvalidRule, match=rf"^need 3 to {MAX_QUAD_POINTS} nodes, got {nodes}$"):
             QuadratureRule(nodes)
 
+    @pytest.mark.parametrize("nodes", [129.0, 5.5, "129"])
+    def test_non_integer_node_count_rejected(self, nodes):
+        # a float count once constructed and then failed in integrate's range()
+        with pytest.raises(InvalidRule, match=rf"^need an integer node count, got {nodes!r}$"):
+            QuadratureRule(nodes)
+
+    def test_numpy_integer_node_count_accepted(self):
+        assert integrate(math.sin, 0.0, 1.0, QuadratureRule(np.int64(5))) == integrate(
+            math.sin, 0.0, 1.0, QuadratureRule(5)
+        )
+
     def test_simpson_empirical_order(self):
         errors = []
         for nodes in (9, 17, 33, 65):

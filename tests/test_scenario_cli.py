@@ -163,10 +163,15 @@ class TestParseScenario:
         assert len(vals) == count
         assert vals[0] == 0.1 and vals[-1] == 1.0
 
-    @pytest.mark.parametrize("count", [0, MAX_SWEEP_COUNT + 1])
+    @pytest.mark.parametrize("count", [0, MAX_SWEEP_COUNT + 1, 15.0, 2.5, math.nan])
     def test_sweep_spec_count_outside_bounds_rejected(self, count):
+        # a float count once constructed and then failed in values()
         with pytest.raises(ValueError, match="sweep count"):
             SweepSpec(300.0, 1000.0, count)
+
+    def test_sweep_spec_takes_a_numpy_integer_count(self):
+        values = SweepSpec(300.0, 1000.0, np.int64(15)).values()
+        assert values.tolist() == SweepSpec(300.0, 1000.0, 15).values().tolist()
 
     def test_one_value_sweep_needs_stop_equal_to_start(self, tmp_path, capsys):
         # one value cannot be both start and stop, so stop would be dropped
