@@ -12,6 +12,7 @@ The brute-force discretization of the definition is kept as an oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -22,6 +23,7 @@ from .errors import DegeneratePoint
 from .geometry import K0, Vec3, canonicalize, geometry_angles, unit
 
 DEFAULT_ORACLE_SAMPLES = 100_000
+_ORACLE_BLOCK = 16_384  # samples per spatial_frequency call: its 128 KiB temporaries stay in a 2 MiB L2
 
 
 @dataclass(frozen=True)
@@ -108,6 +110,14 @@ def local_bandwidth_closed(p: Sequence[float], v: Sequence[float], Ls: float) ->
     return omega_from_angles(psi, reduce_phi_prime(phi, beta), alpha)
 
 
+@functools.lru_cache(maxsize=1)
+def _oracle_grid(Ls: float, n_samples: int) -> np.ndarray:
+    """The read-only sample heights ``linspace(-Ls/2, Ls/2, n_samples)``; one grid is kept."""
+    z = np.linspace(-0.5 * Ls, 0.5 * Ls, n_samples)
+    z.flags.writeable = False
+    return z
+
+
 def local_bandwidth_oracle(
     p: Sequence[float],
     v: Sequence[float],
@@ -119,12 +129,21 @@ def local_bandwidth_oracle(
     Samples ``n_samples`` points uniformly on the transmit segment,
     endpoints included.  Discretization error is bounded by
     2*K0*alpha/n_samples; n_samples = 2 gives the two-endpoint fan,
-    a lower bound on the true bandwidth.
+    a lower bound on the true bandwidth.  The grid is built once per
+    ``(Ls, n_samples)``, read-only, and kept until the next pair; the
+    frequency is evaluated in blocks of ``_ORACLE_BLOCK`` samples, whose
+    extremes give the one-pass spread bit for bit, NaN included.
     """
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
-    f = spatial_frequency(p, (0.0, 0.0, np.linspace(-0.5 * Ls, 0.5 * Ls, n_samples)), v)
-    return float(f.max() - f.min())
+    if not isinstance(n_samples, (int, np.integer)) or n_samples < 2:
+        raise ValueError(f"n_samples must be an integer >= 2, got {n_samples!r}")
+    if not 0.0 < Ls < math.inf:  # also NaN
+        raise ValueError(f"Ls must be positive and finite, got {Ls}")
+    z = _oracle_grid(float(Ls), int(n_samples))
+    hi, lo = -math.inf, math.inf
+    for start in range(0, n_samples, _ORACLE_BLOCK):
+        f = spatial_frequency(p, (0.0, 0.0, z[start:start + _ORACLE_BLOCK]), v)
+        hi, lo = np.maximum(hi, f.max()), np.minimum(lo, f.min())  # a NaN propagates, unlike max()
+    return float(hi - lo)
 
 
 def max_bandwidth(alpha: float) -> float:

@@ -70,6 +70,10 @@ class ArraySegment:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+        if len(self.center) != 3:
+            raise ValueError(f"segment center must have 3 components, got {self.center}")
+        if len(self.direction) != 3:  # unit reads the first three
+            raise ValueError(f"segment direction must have 3 components, got {tuple(self.direction)}")
         object.__setattr__(self, "direction", unit(self.direction))
         object.__setattr__(self, "length", float(self.length))
         if not all(map(math.isfinite, self.center)):

@@ -26,11 +26,13 @@ from nfdof import (
     spatial_frequency,
     unit,
 )
+import nfdof.bandwidth as bandwidth
 from nfdof.bandwidth import _direction_angles
 from nfdof.errors import DegeneratePoint
 from nfdof.geometry import SEGMENT_TOL
 
 LS = 100.0
+BLOCK = bandwidth._ORACLE_BLOCK
 
 
 def fan_extrema_oracle(psi, phi_prime, alpha, n=200_001):
@@ -59,6 +61,12 @@ def omega_mpmath(psi, phi_prime, alpha, dps=40):
 def orientation_vector(psi, phi):
     sp = math.sin(psi)
     return (math.cos(psi), sp * math.cos(phi), sp * math.sin(phi))
+
+
+def one_pass_oracle(p, v, Ls, n_samples):
+    """The oracle's spread in one pass over the whole sample grid."""
+    f = spatial_frequency(p, (0.0, 0.0, np.linspace(-0.5 * Ls, 0.5 * Ls, n_samples)), v)
+    return float(f.max() - f.min())
 
 
 def random_case(rng):
@@ -296,9 +304,63 @@ class TestOracle:
         with pytest.raises(ValueError):
             local_bandwidth_oracle((0, 500, 0), (0, 0, 1), LS, 1)
 
+    @pytest.mark.parametrize("n", [1000.0, 2.0, "100", 0])
+    def test_non_integer_or_small_sample_count_rejected(self, n):
+        # a float count once passed the range check and failed inside np.linspace
+        before = bandwidth._oracle_grid.cache_info()
+        with pytest.raises(ValueError, match=f"^n_samples must be an integer >= 2, got {n!r}$"):
+            local_bandwidth_oracle((0, 500, 0), (0, 0, 1), LS, n)
+        assert bandwidth._oracle_grid.cache_info() == before  # refused before any grid is built
+
+    @pytest.mark.parametrize("Ls", [-100.0, 0.0, math.nan, math.inf])
+    def test_non_finite_or_non_positive_Ls_rejected(self, Ls):
+        # -100 once gave 1.25, 0 gave 0.0 and NaN gave nan
+        before = bandwidth._oracle_grid.cache_info()
+        with pytest.raises(ValueError, match="^Ls must be positive and finite, got"):
+            local_bandwidth_oracle((0, 500, 0), (0, 0, 1), Ls, 1000)
+        assert bandwidth._oracle_grid.cache_info() == before
+
+    def test_numpy_integer_sample_count_accepted(self):
+        p, v = (0.0, 300.0, 40.0), (0.0, 0.0, 1.0)
+        assert local_bandwidth_oracle(p, v, LS, np.int64(1001)) == local_bandwidth_oracle(p, v, LS, 1001)
+
     def test_sample_hits_observation_point(self):
         with pytest.raises(DegeneratePoint):
             local_bandwidth_oracle((0.0, 0.0, 50.0), (0, 0, 1), LS, 3)
+
+    def test_last_sample_of_a_trailing_block_hits_observation_point(self):
+        # n = BLOCK + 1 puts the segment tip alone in the second block
+        with pytest.raises(DegeneratePoint):
+            local_bandwidth_oracle((0.0, 0.0, 0.5 * LS), (0, 0, 1), LS, BLOCK + 1)
+
+    @pytest.mark.parametrize("n", [2, 3, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7, 100_000])
+    def test_blocks_equal_one_pass(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            p, v = random_case(rng)
+            assert local_bandwidth_oracle(p, v, LS, n) == one_pass_oracle(p, v, LS, n)
+
+    @pytest.mark.parametrize("k", [BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_peak_on_a_block_edge(self, k):
+        # v points from sample k to p, so the frequency peaks on that one sample
+        n, p = 2 * BLOCK + 7, (0.0, 300.0, 40.0)
+        z = np.linspace(-0.5 * LS, 0.5 * LS, n)
+        v = (0.0, p[1], p[2] - z[k])
+        assert np.argmax(spatial_frequency(p, (0.0, 0.0, z), v)) == k
+        assert local_bandwidth_oracle(p, v, LS, n) == one_pass_oracle(p, v, LS, n)
+
+    @pytest.mark.parametrize("axis", range(3))
+    def test_nan_coordinate_gives_nan(self, axis):
+        p = [0.0, 300.0, 40.0]
+        p[axis] = math.nan
+        assert math.isnan(local_bandwidth_oracle(p, (0.0, 0.6, 0.8), LS, 2 * BLOCK + 7))
+
+    def test_cached_grid_refuses_writes(self):
+        local_bandwidth_oracle((0.0, 300.0, 40.0), (0, 0, 1), LS, 1001)
+        grid = bandwidth._oracle_grid(LS, 1001)
+        assert bandwidth._oracle_grid.cache_info().currsize == 1
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0] = 0.0
 
 
 class TestBranchStructure:

@@ -396,6 +396,18 @@ class TestArraySegment:
         with pytest.raises(ValueError, match="^segment length must be >= 0 and finite, got"):
             ArraySegment((0.0, 500.0, 0.0), (0.0, 0.0, 1.0), length)
 
+    @pytest.mark.parametrize("center", [(0.0, 1.0), (0.0, 0.0, 1.0, 5.0), ()])
+    def test_center_without_three_components_rejected(self, center):
+        # a 2-component center once constructed and failed at its first use
+        with pytest.raises(ValueError, match="^segment center must have 3 components, got"):
+            ArraySegment(center, (0.0, 0.0, 1.0), 100.0)
+
+    @pytest.mark.parametrize("direction", [(0.0, 1.0), (0.0, 0.0, 1.0, 5.0)])
+    def test_direction_without_three_components_rejected(self, direction):
+        # a 4-component direction once kept its first three silently
+        with pytest.raises(ValueError, match="^segment direction must have 3 components, got"):
+            ArraySegment((0.0, 500.0, 0.0), direction, 100.0)
+
     @pytest.mark.parametrize("center", [(0.0, math.nan, 0.0), (math.inf, 500.0, 0.0), (0.0, 500.0, -math.inf)])
     def test_non_finite_center_rejected(self, center):
         # a NaN center once reached los_channel, which blamed an overflowing distance

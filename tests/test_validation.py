@@ -9,6 +9,7 @@ import nfdof.validation as validation
 from nfdof import PolarPlacement, run_validation
 from nfdof.bandwidth import local_bandwidth_closed, max_bandwidth, omega_from_angles, omega_grid
 from nfdof.geometry import K0, geometry_angles
+from test_bandwidth import one_pass_oracle
 
 POINT_BOUNDS = ((60.0, 2000.0), (0.0, 0.5 * math.pi * 0.98))
 
@@ -38,6 +39,25 @@ def test_report_equals_the_scalar_route(monkeypatch, seed):
     blocked = [r.line() for r in run_validation(seed, 50).results]
     monkeypatch.setattr(validation, "_draws", scalar_draws)
     assert [r.line() for r in run_validation(seed, 50).results] == blocked
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_report_equals_the_one_pass_oracle(monkeypatch, seed):
+    blocked = [r.line() for r in run_validation(seed, 50).results]
+    monkeypatch.setattr(validation, "local_bandwidth_oracle", one_pass_oracle)
+    assert [r.line() for r in run_validation(seed, 50).results] == blocked
+
+
+@pytest.mark.parametrize("n_cases", [20.0, 1.5, "20"])
+def test_non_integer_case_count_rejected(n_cases):
+    # a float count once passed the range check and failed inside numpy
+    with pytest.raises(ValueError, match=f"^need an integer case count, got {n_cases!r}$"):
+        run_validation(0, n_cases)
+
+
+def test_numpy_integer_case_count_accepted():
+    lines = [r.line() for r in run_validation(0, 3).results]
+    assert [r.line() for r in run_validation(0, np.int64(3)).results] == lines
 
 
 def _clipped_branch_jump(psi, phi_prime, alpha):
