@@ -60,7 +60,8 @@ def reduce_phi_prime(phi: float, beta: float) -> float:
 def spatial_frequency(p: Sequence[float], s: Sequence, v: Sequence[float]) -> float | np.ndarray:
     """Spatial frequency K0 * ((p - s)/|p - s|) . v in [-K0, K0], elementwise over array sources."""
     vx, vy, vz = unit(v)
-    rx, ry, rz = p[0] - s[0], p[1] - s[1], p[2] - s[2]
+    (px, py, pz), (sx, sy, sz) = p, s
+    rx, ry, rz = px - sx, py - sy, pz - sz
     n = np.sqrt(rx * rx + ry * ry + rz * rz)
     if not np.all(n):
         raise DegeneratePoint("observation point coincides with the source point")

@@ -40,7 +40,8 @@ def unit(v: Sequence[float]) -> Vec3:
     scaled by the power of two of its largest component, which is exact and
     keeps the direction; any other vector is divided by sqrt(x*x + y*y + z*z).
     """
-    x, y, z = float(v[0]), float(v[1]), float(v[2])
+    x, y, z = v  # exactly three components, or ValueError
+    x, y, z = float(x), float(y), float(z)
     s = x * x + y * y + z * z
     if not _NORMAL_MIN <= s <= _NORMAL_MAX:  # also NaN
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
@@ -72,7 +73,7 @@ class ArraySegment:
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         if len(self.center) != 3:
             raise ValueError(f"segment center must have 3 components, got {self.center}")
-        if len(self.direction) != 3:  # unit reads the first three
+        if len(self.direction) != 3:
             raise ValueError(f"segment direction must have 3 components, got {tuple(self.direction)}")
         object.__setattr__(self, "direction", unit(self.direction))
         object.__setattr__(self, "length", float(self.length))
@@ -118,7 +119,8 @@ def canonicalize(p: Sequence[float], v: Sequence[float]) -> tuple[Vec3, Vec3]:
     power of two when rho leaves the normal range); on the z-axis or the +y
     half-axis v is kept, and on the -y half-axis (vx, vy) is negated exactly.
     """
-    x, y, z = float(p[0]), float(p[1]), float(p[2])
+    x, y, z = p
+    x, y, z = float(x), float(y), float(z)
     vx, vy, vz = unit(v)
 
     rho = math.hypot(x, y)
@@ -157,7 +159,8 @@ def geometry_angles(p: Sequence[float], Ls: float, reach: float = 0.0) -> tuple[
         raise ValueError(f"Ls must be positive and finite, got {Ls}")
     if not 0.0 <= reach < math.inf:
         raise ValueError(f"reach (Lp/2) must be >= 0 and finite, got {reach}")
-    y, z = math.hypot(p[0], p[1]), abs(p[2])
+    x, y, z = p
+    y, z = math.hypot(x, y), abs(z)
     if not (y < math.inf and z < math.inf):  # also NaN
         raise ValueError(f"point must have a finite rho and |z|, got rho={y}, |z|={z}")
     h = 0.5 * Ls

@@ -52,13 +52,12 @@ def hermitian_eigenvalues(
 ) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, descending, by cyclic Jacobi rotations.
 
-    Each sweep finds, column by column and top to bottom, the next
-    upper-triangle pivot above the skip bound ``tol * ||M||_F / (2n)``
-    (Demmel & Veselic 1992) with one vector compare, and applies the unitary
-    2x2 rotation that annihilates it: the rotations and their order are those
-    of a cyclic sweep that tests every pivot.  Off-diagonal mass decreases
-    monotonically and the iteration stops once its Frobenius norm falls
-    below ``tol`` times the matrix norm.
+    Each sweep visits every upper-triangle pivot, column by column and top
+    to bottom, and applies the unitary 2x2 rotation that annihilates it
+    when its modulus is above the skip bound ``tol * ||M||_F / (2n)``
+    (Demmel & Veselic 1992).  Off-diagonal mass decreases monotonically and
+    the iteration stops once its Frobenius norm falls below ``tol`` times
+    the matrix norm.
 
     Raises
     ------
@@ -94,17 +93,10 @@ def hermitian_eigenvalues(
         if off <= target:
             break
         for q in range(1, n):
-            p = 0
-            while p < q:
-                # Next pivot above skip in column q, which changes only when one rotates; np.hypot
-                # is the libm hypot of abs(A[p, q]), where np.abs can differ in the last bit.
-                col = A[p:q, q]
-                above = np.hypot(col.real, col.imag) > skip
-                k = int(above.argmax())
-                if not above[k]:
-                    break
-                p += k
+            for p in range(q):
                 m = abs(A[p, q])
+                if m <= skip:
+                    continue
                 app = A[p, p].real
                 aqq = A[q, q].real
                 u = A[p, q] / m
@@ -125,7 +117,6 @@ def hermitian_eigenvalues(
                 A[q, q] = aqq - t * m
                 A[p, q] = 0.0
                 A[q, p] = 0.0
-                p += 1
     else:
         if _offdiag_norm(A) > target:
             raise NumericalFailure(

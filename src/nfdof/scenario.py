@@ -75,7 +75,7 @@ class SweepSpec:
     count: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.count, (int, np.integer)):
+        if isinstance(self.count, bool) or not isinstance(self.count, (int, np.integer)):
             raise ValueError(f"sweep count must be an integer, got {self.count!r}")
         if not 1 <= self.count <= MAX_SWEEP_COUNT:
             raise ValueError(f"sweep count must lie in [1, {MAX_SWEEP_COUNT}], got {self.count}")

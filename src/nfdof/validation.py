@@ -183,7 +183,7 @@ def check_periodicity(seed: int, n_cases: int) -> CheckResult:
 
 def run_validation(seed: int, n_cases: int) -> ValidationReport:
     """Run every check; ``n_cases`` (0 to MAX_CASES) scales the sampling effort of each."""
-    if not isinstance(n_cases, (int, np.integer)):
+    if isinstance(n_cases, bool) or not isinstance(n_cases, (int, np.integer)):
         raise ValueError(f"need an integer case count, got {n_cases!r}")
     if not 0 <= n_cases <= MAX_CASES:
         raise ValueError(f"need 0 to {MAX_CASES} cases, got {n_cases}")

@@ -39,17 +39,12 @@ from nfdof import (
     QuadratureRule,
 )
 
-from test_knumber import four_distance_k
+from test_knumber import four_distance_k, orientation_vector
 from test_numerics import hermitian_charpoly_roots
 
 LS = 100.0
 LP = 100.0
 LAMBDA_M = 0.01
-
-
-def orientation_vector(psi, phi):
-    sp = math.sin(psi)
-    return (math.cos(psi), sp * math.cos(phi), sp * math.sin(phi))
 
 
 def report(n, ok, detail):

@@ -31,6 +31,8 @@ from nfdof.bandwidth import _direction_angles
 from nfdof.errors import DegeneratePoint
 from nfdof.geometry import SEGMENT_TOL
 
+from test_knumber import orientation_vector
+
 LS = 100.0
 BLOCK = bandwidth._ORACLE_BLOCK
 
@@ -56,11 +58,6 @@ def omega_mpmath(psi, phi_prime, alpha, dps=40):
         cos_max = 1 if lo <= 0 else mpmath.cos(lo)
         cos_min = -1 if hi >= mpmath.pi else mpmath.cos(hi)
         return mpmath.mpf(K0) * mpmath.sin(mpmath.mpf(psi)) * (cos_max - cos_min)
-
-
-def orientation_vector(psi, phi):
-    sp = math.sin(psi)
-    return (math.cos(psi), sp * math.cos(phi), sp * math.sin(phi))
 
 
 def one_pass_oracle(p, v, Ls, n_samples):

@@ -448,6 +448,30 @@ class TestUnit:
             local_bandwidth_closed((0.0, 300.0, 0.0), v, LS)
 
 
+class TestThreeComponents:
+    P, V = (0.0, 300.0, 40.0), (0.0, 0.6, 0.8)
+
+    @pytest.mark.parametrize("bad", [(0.0, 300.0), (0.0, 300.0, 40.0, 5.0)])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda bad, p, v: unit(bad),
+            lambda bad, p, v: canonicalize(bad, v),
+            lambda bad, p, v: canonicalize(p, bad),
+            lambda bad, p, v: geometry_angles(bad, LS),
+            lambda bad, p, v: local_bandwidth_closed(bad, v, LS),
+            lambda bad, p, v: local_bandwidth_closed(p, bad, LS),
+            lambda bad, p, v: local_bandwidth_oracle(bad, v, LS, 101),
+            lambda bad, p, v: local_bandwidth_oracle(p, bad, LS, 101),
+        ],
+        ids=["unit", "canonicalize-p", "canonicalize-v", "angles", "closed-p", "closed-v", "oracle-p", "oracle-v"],
+    )
+    def test_point_or_direction_without_three_components_rejected(self, call, bad):
+        # a 4-component input once kept its first three, a 2-component one raised IndexError
+        with pytest.raises(ValueError, match="values to unpack"):
+            call(bad, self.P, self.V)
+
+
 class TestPolarPlacement:
     @pytest.mark.parametrize("R", [math.inf, math.nan, 0.0, -1.0])
     def test_non_finite_or_non_positive_R_rejected(self, R):

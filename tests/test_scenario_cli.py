@@ -163,9 +163,9 @@ class TestParseScenario:
         assert len(vals) == count
         assert vals[0] == 0.1 and vals[-1] == 1.0
 
-    @pytest.mark.parametrize("count", [0, MAX_SWEEP_COUNT + 1, 15.0, 2.5, math.nan])
+    @pytest.mark.parametrize("count", [0, MAX_SWEEP_COUNT + 1, 15.0, 2.5, math.nan, True, False])
     def test_sweep_spec_count_outside_bounds_rejected(self, count):
-        # a float count once constructed and then failed in values()
+        # a float count once constructed and then failed in values(); True once swept one R
         with pytest.raises(ValueError, match="sweep count"):
             SweepSpec(300.0, 1000.0, count)
 

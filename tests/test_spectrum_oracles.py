@@ -1,7 +1,8 @@
-"""The spectrum kernels against the slow loops they replaced, bit for bit.
+"""The spectrum kernels against plain reference loops, bit for bit.
 
-``cyclic_jacobi`` steps through every upper-triangle pivot in Python and
-rotates through list-index copies; ``kept_rows_loop`` adds the trailing rows'
+``cyclic_jacobi`` is ``hermitian_eigenvalues``' own pivot-by-pivot sweep; its
+input checks aside, it differs only in rotating through list-index copies
+where the kernel rotates a strided view; ``kept_rows_loop`` adds the trailing rows'
 squared norms one row at a time.  Both keep the kernels' stop rules: the rows
 are cut at the noise floor, and the Jacobi on the kept rows' Gram matrix runs
 at KEPT_JACOBI_TOL.  ``hermitian_eigenvalues`` and ``_kept_rows`` must give

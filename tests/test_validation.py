@@ -48,9 +48,9 @@ def test_report_equals_the_one_pass_oracle(monkeypatch, seed):
     assert [r.line() for r in run_validation(seed, 50).results] == blocked
 
 
-@pytest.mark.parametrize("n_cases", [20.0, 1.5, "20"])
+@pytest.mark.parametrize("n_cases", [20.0, 1.5, "20", True, False])
 def test_non_integer_case_count_rejected(n_cases):
-    # a float count once passed the range check and failed inside numpy
+    # a float count once passed the range check and failed inside numpy; True once ran one case
     with pytest.raises(ValueError, match=f"^need an integer case count, got {n_cases!r}$"):
         run_validation(0, n_cases)
 
