@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegeneratePoint
+from .errors import DegeneratePoint, integer_in
 from .geometry import K0, Vec3, canonicalize, geometry_angles, unit
 
 DEFAULT_ORACLE_SAMPLES = 100_000
@@ -135,11 +135,10 @@ def local_bandwidth_oracle(
     frequency is evaluated in blocks of ``_ORACLE_BLOCK`` samples, whose
     extremes give the one-pass spread bit for bit, NaN included.
     """
-    if not isinstance(n_samples, (int, np.integer)) or n_samples < 2:
-        raise ValueError(f"n_samples must be an integer >= 2, got {n_samples!r}")
+    n_samples = integer_in(n_samples, 2, math.inf, "n_samples")
     if not 0.0 < Ls < math.inf:  # also NaN
         raise ValueError(f"Ls must be positive and finite, got {Ls}")
-    z = _oracle_grid(float(Ls), int(n_samples))
+    z = _oracle_grid(float(Ls), n_samples)
     hi, lo = -math.inf, math.inf
     for start in range(0, n_samples, _ORACLE_BLOCK):
         f = spatial_frequency(p, (0.0, 0.0, z[start:start + _ORACLE_BLOCK]), v)

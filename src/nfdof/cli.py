@@ -31,12 +31,12 @@ from .channel import (
     singular_spectrum,
     threshold_tau,
 )
+from .errors import integer_in
 from .geometry import ArraySegment, K0, PolarPlacement, SEGMENT_TOL, geometry_angles
 from .knumber import k_number_center, k_number_max, maximize_k
 from .scenario import (
     Scenario,
     SweepTable,
-    _integer,
     _positive,
     kmax_pairs,
     parse_scenario,
@@ -49,12 +49,7 @@ DEFAULT_ORIENTATION_POINTS = 181
 DEFAULT_MAP_EXTENT = 300.0
 DEFAULT_MAP_POINTS = 601
 MAX_AXIS_POINTS = 2001  # a 2001 x 2001 map: 4 million rows, a 213 MB CSV, a 122 MiB traced build peak
-
-
-def _check_axis_points(n_points: int) -> None:
-    """Refuse a map axis outside [2, MAX_AXIS_POINTS] before its table is allocated."""
-    if not 2 <= n_points <= MAX_AXIS_POINTS:
-        raise ValueError(f"need 2 to {MAX_AXIS_POINTS} points per axis, got {n_points}")
+_AXIS_POINTS = "points per axis"  # what integer_in names the axis of both maps and of --grid
 
 
 def _map_extent(extent: float, path: str = "extent") -> float:
@@ -77,7 +72,7 @@ def _tensor_rows(a: Sequence[float], b: Sequence[float], *values: object) -> np.
 
 def cmd_localbw_sweep(scenario: Scenario, n_points: int = DEFAULT_ORIENTATION_POINTS) -> SweepTable:
     """Sweep (psi, phi') over [0, pi]^2 at the scenario placement."""
-    _check_axis_points(n_points)
+    n_points = integer_in(n_points, 2, MAX_AXIS_POINTS, _AXIS_POINTS)
     alpha, _ = geometry_angles(scenario.placement.point(), scenario.Ls)
     psis = np.linspace(0.0, math.pi, n_points)
     phis = np.linspace(0.0, math.pi, n_points)
@@ -105,7 +100,7 @@ def cmd_maxbw_map(
     limiting value 2.0 (the fan opens to a half turn on the segment).
     """
     _map_extent(extent)
-    _check_axis_points(n_points)
+    n_points = integer_in(n_points, 2, MAX_AXIS_POINTS, _AXIS_POINTS)
     half = 0.5 * scenario.Ls
     ys = np.linspace(-extent, extent, n_points)
     zs = np.linspace(-extent, extent, n_points)
@@ -189,14 +184,14 @@ def cmd_svd_spectrum(scenarios: Sequence[Scenario], tau: float = DEFAULT_TAU) ->
 
 
 def _option(
-    convert: Callable[[str], object], check: Callable[..., object], *bounds: float
+    convert: Callable[[str], object], check: Callable[..., object], *args: object
 ) -> Callable[[str], object]:
-    """argparse type from a config field check: a bad value exits 2 naming the option."""
+    """argparse type that returns ``check(convert(text), *args)``; a bad value exits 2 naming the option."""
 
     def parse(text: str) -> object:
         try:
-            return check(convert(text), "", *bounds)
-        except ValueError as exc:  # the empty field path leaves a leading ": "
+            return check(convert(text), *args)
+        except ValueError as exc:  # an empty field path leaves a leading ": "
             raise argparse.ArgumentTypeError(str(exc).lstrip(": ")) from None
 
     return parse
@@ -209,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"nfdof {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    axis_points = _option(int, _integer, 2, MAX_AXIS_POINTS)
+    axis_points = _option(int, integer_in, 2, MAX_AXIS_POINTS, _AXIS_POINTS)
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", required=True, help="scenario JSON file")
@@ -224,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--grid", type=axis_points, default=DEFAULT_MAP_POINTS,
                    help="points per map axis (default %(default)s)")
-    p.add_argument("--extent", type=_option(float, _map_extent), default=DEFAULT_MAP_EXTENT,
+    p.add_argument("--extent", type=_option(float, _map_extent, ""), default=DEFAULT_MAP_EXTENT,
                    help="half-width of the map window in wavelengths, 2 * extent finite (default %(default)s)")
 
     p = sub.add_parser("kmax-sweep", help="AK and EK over an (R, theta) sweep")
@@ -232,13 +227,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("svd-spectrum", help="singular spectra and EDoF per scenario")
     add_common(p)
-    p.add_argument("--tau", type=_option(float, threshold_tau), default=DEFAULT_TAU,
+    p.add_argument("--tau", type=_option(float, threshold_tau, ""), default=DEFAULT_TAU,
                    help="EDoF threshold on normalized singular values (default %(default)s)")
 
     p = sub.add_parser("validate", help="run oracle-equivalence self checks")
-    p.add_argument("--seed", type=_option(int, _integer, 0, math.inf), default=0,
+    p.add_argument("--seed", type=_option(int, integer_in, 0, math.inf, "seed"), default=0,
                    help="RNG seed (default %(default)s)")
-    p.add_argument("--cases", type=_option(int, _integer, 1, MAX_CASES), default=200,
+    p.add_argument("--cases", type=_option(int, integer_in, 1, MAX_CASES, "case count"), default=200,
                    help="random cases for the oracle comparison (default %(default)s)")
 
     return parser

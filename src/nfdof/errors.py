@@ -1,4 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule for an integer count."""
+
+import numbers
+
+
+def integer_in(value: object, lo: float, hi: float, what: str) -> int:
+    """``value`` as an int if it is an integer in [lo, hi]; a bool, a float or any other type is refused.
+
+    An int and a NumPy integer pass (``numbers.Integral`` minus ``bool``);
+    ``np.bool_`` is no Integral.  Type and range share one ValueError.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not lo <= value <= hi:
+        raise ValueError(f"{what} must be an integer in [{lo}, {hi}], got {value!r}")
+    return int(value)
 
 
 class DegeneratePoint(ValueError):
@@ -15,10 +28,6 @@ class NonIntegerGrid(ValueError):
 
 class CoincidentAntennas(ValueError):
     """A transmit and a receive antenna occupy the same position."""
-
-
-class InvalidRule(ValueError):
-    """Quadrature rule parameters are inconsistent (e.g. even Simpson nodes)."""
 
 
 class NumericalFailure(RuntimeError):

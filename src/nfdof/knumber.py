@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bandwidth import OrientationAngles, local_bandwidth_closed, max_bandwidth, reduce_phi_prime
+from .errors import integer_in
 from .geometry import ArraySegment, PolarPlacement, geometry_angles, require_open_fan
 from .numerics import QuadratureRule, integrate
 
@@ -88,9 +89,7 @@ def maximize_k(
     segment, are refused before any K evaluation.
     """
     _require_Lp(Lp)
-    n_psi, n_phi = grid
-    if not all(isinstance(n, (int, np.integer)) and MIN_SEARCH_AXIS <= n <= MAX_GRID for n in grid):
-        raise ValueError(f"each search grid axis must be an integer in [{MIN_SEARCH_AXIS}, {MAX_GRID}], got {grid}")
+    n_psi, n_phi = (integer_in(n, MIN_SEARCH_AXIS, MAX_GRID, "search grid axis") for n in grid)
     p0 = placement.point()
     _, beta = require_open_fan(geometry_angles(p0, Ls, 0.5 * Lp))
 

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidRule, NumericalFailure
+from .errors import NumericalFailure, integer_in
 
 HERMITIAN_TOL = 1e-12
 "Relative Frobenius tolerance for both the input symmetry check and convergence."
@@ -23,12 +25,8 @@ class QuadratureRule:
     nodes: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.nodes, (int, np.integer)):
-            raise InvalidRule(f"need an integer node count, got {self.nodes!r}")
-        if not MIN_NODES <= self.nodes <= MAX_QUAD_POINTS:
-            raise InvalidRule(f"need {MIN_NODES} to {MAX_QUAD_POINTS} nodes, got {self.nodes}")
-        if self.nodes % 2 == 0:
-            raise InvalidRule(f"composite Simpson needs an odd node count, got {self.nodes}")
+        if integer_in(self.nodes, MIN_NODES, MAX_QUAD_POINTS, "node count") % 2 == 0:
+            raise ValueError(f"composite Simpson needs an odd node count, got {self.nodes}")
 
 
 def integrate(f: Callable[[float], float], a: float, b: float, rule: QuadratureRule) -> float:
@@ -41,7 +39,8 @@ def integrate(f: Callable[[float], float], a: float, b: float, rule: QuadratureR
     h = (b - a) / (n - 1)
     ys = [f(a + i * h) for i in range(n)]
     ys[-1] = f(b)  # avoid drift at the right endpoint
-    total = ys[0] + ys[-1] + 4.0 * sum(ys[1:-1:2]) + 2.0 * sum(ys[2:-1:2])
+    # left to right: the builtin sum is compensated from CPython 3.12 on, so K would move with the interpreter
+    total = ys[0] + ys[-1] + 4.0 * reduce(add, ys[1:-1:2], 0.0) + 2.0 * reduce(add, ys[2:-1:2], 0.0)
     return h * total / 3.0
 
 
@@ -62,16 +61,15 @@ def hermitian_eigenvalues(
     Raises
     ------
     ValueError
-        If ``tol`` is negative, NaN or infinite, if ``max_sweeps`` is
-        negative, or if the input is not square, has a non-finite entry, or
-        is not Hermitian to HERMITIAN_TOL.
+        If ``tol`` is negative, NaN or infinite, if ``max_sweeps`` is not a
+        non-negative integer, or if the input is not square, has a non-finite
+        entry, or is not Hermitian to HERMITIAN_TOL.
     NumericalFailure
         If the sweep budget is exhausted before convergence.
     """
     if not 0.0 <= tol < math.inf:  # at NaN or inf every pivot is skipped, below 0 none is
         raise ValueError(f"tol must be non-negative and finite, got {tol}")
-    if max_sweeps < 0:
-        raise ValueError(f"max_sweeps must be non-negative, got {max_sweeps}")
+    max_sweeps = integer_in(max_sweeps, 0, math.inf, "max_sweeps")
     A = np.array(M, dtype=np.complex128)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")

@@ -22,15 +22,17 @@ ignored, and its Scenario attribute is None.  Of the fields read, only Ls, Lp
 and placement are required.  "optimal" resolves to the bandwidth-maximizing
 receive direction for the given placement, which must lie neither on the
 transmit segment nor on its axis.  QuadratureRule, maximize_k and SweepSpec
-own these caps (a one-value sweep has stop == start), and PolarPlacement and
-OrientationAngles the angle ranges; each refuses the same values when called
-directly, and the parser only adds the field name.  The at most MAX_KMAX_PAIRS
-(R, theta) pairs of kmax-sweep are checked for a K number and for the Lp/2
-reach that maximize_k refuses.  parse_scenarios, the parser of svd-spectrum,
-which places antennas, adds the channel checks: each spacing divides its
-length, the channel has at most MAX_CHANNEL_ENTRIES entries, the placement
-lies beyond the Lp/2 reach of its search, and no antenna distance overflows.
-_open_fan alone names a geometry error's field.
+own these caps (a one-value sweep has stop == start), each by one
+errors.integer_in call that the parser makes on the raw JSON value too, and
+PolarPlacement and OrientationAngles the angle ranges; each refuses the same
+values when called directly, and the parser only adds the field name, so a
+count of the wrong type is a RangeError like one out of range.  The at most
+MAX_KMAX_PAIRS (R, theta) pairs of kmax-sweep are checked for a K number and
+for the Lp/2 reach that maximize_k refuses.  parse_scenarios, the parser of
+svd-spectrum, which places antennas, adds the channel checks: each spacing
+divides its length, the channel has at most MAX_CHANNEL_ENTRIES entries, the
+placement lies beyond the Lp/2 reach of its search, and no antenna distance
+overflows.  _open_fan alone names a geometry error's field.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import numpy as np
 
 from .bandwidth import OrientationAngles
 from .channel import antenna_grid, check_channel_size, grid_steps, los_channel
-from .errors import DegenerateGeometry, DegeneratePoint, RangeError, SchemaError
+from .errors import DegenerateGeometry, DegeneratePoint, RangeError, SchemaError, integer_in
 from .geometry import ArraySegment, PolarPlacement, Vec3, geometry_angles, optimal_orientation, require_open_fan
 from .knumber import DEFAULT_QUAD_POINTS, DEFAULT_SEARCH_GRID, MAX_GRID, MIN_SEARCH_AXIS
 from .numerics import QuadratureRule
@@ -75,11 +77,7 @@ class SweepSpec:
     count: int
 
     def __post_init__(self) -> None:
-        if isinstance(self.count, bool) or not isinstance(self.count, (int, np.integer)):
-            raise ValueError(f"sweep count must be an integer, got {self.count!r}")
-        if not 1 <= self.count <= MAX_SWEEP_COUNT:
-            raise ValueError(f"sweep count must lie in [1, {MAX_SWEEP_COUNT}], got {self.count}")
-        if self.count == 1 and self.stop != self.start:
+        if integer_in(self.count, 1, MAX_SWEEP_COUNT, "sweep count") == 1 and self.stop != self.start:
             raise ValueError(f"a sweep of count 1 needs stop == start, got {self.start} to {self.stop}")
 
     def values(self) -> np.ndarray:
@@ -138,14 +136,6 @@ def _positive(value: object, path: str) -> float:
     if not x > 0.0:
         raise RangeError(f"{path}: {x} must be > 0")
     return x
-
-
-def _integer(value: object, path: str, lo: float = -math.inf, hi: float = math.inf) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{path}: expected an integer, got {value!r}")
-    if not lo <= value <= hi:
-        raise RangeError(f"{path}: {value} outside [{lo}, {hi}]")
-    return value
 
 
 def _checked(path: str, check: Callable, *args: object):
@@ -230,8 +220,7 @@ def _sweep(sdoc: object, path: str) -> SweepSpec:
     stop = _positive(_require(sdoc, "stop", path + "sweep."), path + "sweep.stop")
     if stop < start:
         raise RangeError(f"{path}sweep.stop: {stop} must be >= start {start}")
-    count = _integer(sdoc.get("count", DEFAULT_KMAX_SWEEP.count), path + "sweep.count")
-    return _checked(path + "sweep.count", SweepSpec, start, stop, count)
+    return _checked(path + "sweep.count", SweepSpec, start, stop, sdoc.get("count", DEFAULT_KMAX_SWEEP.count))
 
 
 def _scenario_from_dict(doc: Mapping, reads: Collection[str], config_id: int = 0, path: str = "") -> Scenario:
@@ -267,13 +256,16 @@ def _scenario_from_dict(doc: Mapping, reads: Collection[str], config_id: int = 0
         if key in reads:  # parse_scenarios checks that it divides its length
             sc[key] = _positive(doc.get(key, DEFAULT_SPACING), path + key)
     if "quad_points" in reads:
-        sc["quad_points"] = _integer(doc.get("quad_points", DEFAULT_QUAD_POINTS), f"{path}quad_points")
-        _checked(f"{path}quad_points", QuadratureRule, sc["quad_points"])
+        rule = _checked(path + "quad_points", QuadratureRule, doc.get("quad_points", DEFAULT_QUAD_POINTS))
+        sc["quad_points"] = rule.nodes
     if "grid" in reads:
         gdoc = doc.get("grid", list(DEFAULT_SEARCH_GRID))
         if not isinstance(gdoc, list) or len(gdoc) != 2:
             raise SchemaError(f"{path}grid: expected [n_psi, n_phi] integers, got {gdoc!r}")
-        sc["grid"] = tuple(_integer(n, f"{path}grid[{i}]", MIN_SEARCH_AXIS, MAX_GRID) for i, n in enumerate(gdoc))
+        sc["grid"] = tuple(
+            _checked(f"{path}grid[{i}]", integer_in, n, MIN_SEARCH_AXIS, MAX_GRID, "search grid axis")
+            for i, n in enumerate(gdoc)
+        )
 
     if "sweep" in reads and "theta_list" in reads:  # the (R, theta) pairs of kmax-sweep
         sweep = sc["sweep"] = _sweep(doc["sweep"], path) if "sweep" in doc else DEFAULT_KMAX_SWEEP

@@ -24,6 +24,7 @@ from .bandwidth import (
     omega_from_angles,
     omega_grid,
 )
+from .errors import integer_in
 from .geometry import (
     K0,
     PolarPlacement,
@@ -182,16 +183,14 @@ def check_periodicity(seed: int, n_cases: int) -> CheckResult:
 
 
 def run_validation(seed: int, n_cases: int) -> ValidationReport:
-    """Run every check; ``n_cases`` (0 to MAX_CASES) scales the sampling effort of each."""
-    if isinstance(n_cases, bool) or not isinstance(n_cases, (int, np.integer)):
-        raise ValueError(f"need an integer case count, got {n_cases!r}")
-    if not 0 <= n_cases <= MAX_CASES:
-        raise ValueError(f"need 0 to {MAX_CASES} cases, got {n_cases}")
+    """Run every check from ``seed`` >= 0; ``n_cases`` (0 to MAX_CASES) scales the sampling effort of each."""
+    seed = integer_in(seed, 0, math.inf, "seed")
+    n_cases = integer_in(n_cases, 0, MAX_CASES, "case count")
     results = [
         check_closed_vs_oracle(seed, n_cases),
         check_angles(seed + 1, 50 * n_cases),
-        check_orientation_maximum(seed + 2, max(0, min(n_cases, 50))),
+        check_orientation_maximum(seed + 2, min(n_cases, 50)),
         check_branch_continuity(seed + 3, 50 * n_cases),
-        check_periodicity(seed + 4, max(0, min(n_cases, 10))),
+        check_periodicity(seed + 4, min(n_cases, 10)),
     ]
     return ValidationReport(results=results)

@@ -4,6 +4,7 @@ import argparse
 import io
 import json
 import math
+import re
 import struct
 import tracemalloc
 from dataclasses import replace
@@ -36,7 +37,7 @@ from nfdof.cli import (
     main,
 )
 from nfdof.errors import RangeError, SchemaError
-from nfdof.knumber import MAX_GRID
+from nfdof.knumber import MAX_GRID, MIN_SEARCH_AXIS
 from nfdof.numerics import MAX_QUAD_POINTS
 from nfdof.validation import MAX_CASES, ValidationReport, check_closed_vs_oracle
 from nfdof.scenario import (
@@ -251,23 +252,34 @@ def sweep(count):
     return {"variable": "R", "start": 300, "stop": 1000, "count": count}
 
 
+# the rule each integer count of a document reads, as its owner words it
+COUNT_RULES = {
+    "quad_points": f"node count must be an integer in [3, {MAX_QUAD_POINTS}]",
+    "grid": f"search grid axis must be an integer in [{MIN_SEARCH_AXIS}, {MAX_GRID}]",
+    "sweep": f"sweep count must be an integer in [1, {MAX_SWEEP_COUNT}]",
+}
+
+
 class TestFieldChecks:
     """Caps and deeper-layer errors, each checked by parsing alone: no job runs."""
 
     @pytest.mark.parametrize(
-        "overrides, field",
+        "overrides, field, value",
         [
-            ({"quad_points": "x"}, "quad_points"),
-            ({"quad_points": 129.0}, "quad_points"),
-            ({"grid": [64, "x"]}, r"grid\[1\]"),
-            ({"grid": [True, 64]}, r"grid\[0\]"),
-            ({"sweep": sweep("x")}, r"sweep\.count"),
-            ({"sweep": sweep(1.5)}, r"sweep\.count"),
+            ({"quad_points": "x"}, "quad_points", "x"),
+            ({"quad_points": 129.0}, "quad_points", 129.0),
+            ({"grid": [64, "x"]}, "grid[1]", "x"),
+            ({"grid": [True, 64]}, "grid[0]", True),
+            ({"sweep": sweep("x")}, "sweep.count", "x"),
+            ({"sweep": sweep(1.5)}, "sweep.count", 1.5),
         ],
     )
-    def test_integer_field_of_wrong_type_is_a_schema_error(self, overrides, field):
-        with pytest.raises(SchemaError, match=rf"^{field}: expected an integer"):
+    def test_integer_field_of_wrong_type_is_a_range_error(self, overrides, field, value):
+        # the owner's integer_in call refuses type and range alike; the parser adds the field
+        (key,) = overrides
+        with pytest.raises(RangeError) as exc:
             parse_scenario(scenario_text(**overrides))
+        assert str(exc.value) == f"{field}: {COUNT_RULES[key]}, got {value!r}"
 
     @pytest.mark.parametrize(
         "overrides, field",
@@ -283,13 +295,9 @@ class TestFieldChecks:
         ],
     )
     def test_integer_field_out_of_range_is_a_range_error(self, overrides, field):
-        # SweepSpec owns the count's range and QuadratureRule the nodes'; the parser checks the grid's caps itself
-        want = r"-?\d+ outside \["
-        if "sweep" in field:
-            want = rf"sweep count must lie in \[1, {MAX_SWEEP_COUNT}\]"
-        if field == "quad_points":
-            want = rf"need 3 to {MAX_QUAD_POINTS} nodes, got \d+$"
-        with pytest.raises(RangeError, match=rf"^{field}: {want}"):
+        # SweepSpec owns the count's range, QuadratureRule the nodes' and maximize_k's call the grid's
+        (key,) = overrides
+        with pytest.raises(RangeError, match=rf"^{field}: {re.escape(COUNT_RULES[key])}, got -?\d+$"):
             parse_scenario(scenario_text(**overrides))
 
     @pytest.mark.parametrize(
@@ -802,7 +810,8 @@ class TestLibraryCaps:
         for name in ("geometry_angles", "omega_grid", "_tensor_rows", "SweepTable"):
             monkeypatch.setattr(cli_mod, name, fail)
         monkeypatch.setattr(cli_mod, "np", SimpleNamespace(linspace=fail))
-        with pytest.raises(ValueError, match=rf"^need 2 to {MAX_AXIS_POINTS} points per axis, got {n_points}$"):
+        message = f"points per axis must be an integer in [2, {MAX_AXIS_POINTS}], got {n_points}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             getattr(cli_mod, command)(sc, n_points=n_points)
 
     @pytest.mark.parametrize("extent", [1e308, 8.99e307, -1.0, math.nan])
@@ -845,7 +854,7 @@ class TestLibraryCaps:
         for name in ("check_closed_vs_oracle", "check_angles", "check_orientation_maximum",
                      "check_branch_continuity", "check_periodicity"):
             monkeypatch.setattr(validation_mod, name, lambda *a, **k: pytest.fail("a check ran"))
-        with pytest.raises(ValueError, match=rf"^need 0 to {MAX_CASES} cases, got {n_cases}$"):
+        with pytest.raises(ValueError, match=rf"^case count must be an integer in \[0, {MAX_CASES}\], got {n_cases}$"):
             run_validation(seed=0, n_cases=n_cases)
 
 

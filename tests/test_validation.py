@@ -1,6 +1,7 @@
 """The validation harness draws its cases in blocks from the scalar stream."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import nfdof.validation as validation
 from nfdof import PolarPlacement, run_validation
 from nfdof.bandwidth import local_bandwidth_closed, max_bandwidth, omega_from_angles, omega_grid
 from nfdof.geometry import K0, geometry_angles
+from nfdof.validation import MAX_CASES
 from test_bandwidth import one_pass_oracle
 
 POINT_BOUNDS = ((60.0, 2000.0), (0.0, 0.5 * math.pi * 0.98))
@@ -51,7 +53,8 @@ def test_report_equals_the_one_pass_oracle(monkeypatch, seed):
 @pytest.mark.parametrize("n_cases", [20.0, 1.5, "20", True, False])
 def test_non_integer_case_count_rejected(n_cases):
     # a float count once passed the range check and failed inside numpy; True once ran one case
-    with pytest.raises(ValueError, match=f"^need an integer case count, got {n_cases!r}$"):
+    message = f"case count must be an integer in [0, {MAX_CASES}], got {n_cases!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         run_validation(0, n_cases)
 
 
