@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegeneratePoint, integer_in
+from .errors import DegeneratePoint, integer_in, positive
 from .geometry import K0, Vec3, canonicalize, geometry_angles, unit
 
 DEFAULT_ORACLE_SAMPLES = 100_000
@@ -54,7 +54,7 @@ def reduce_phi_prime(phi: float, beta: float) -> float:
     t = math.fmod(phi - beta, math.pi)
     if t < 0.0:
         t += math.pi
-    return t + 0.0 if t < math.pi else 0.0  # + 0.0 turns the -0.0 of fmod(-pi, pi) into +0.0
+    return 0.0 if t == math.pi else t + 0.0  # + 0.0 turns the -0.0 of fmod(-pi, pi) into +0.0; NaN stays
 
 
 def spatial_frequency(p: Sequence[float], s: Sequence, v: Sequence[float]) -> float | np.ndarray:
@@ -136,9 +136,7 @@ def local_bandwidth_oracle(
     extremes give the one-pass spread bit for bit, NaN included.
     """
     n_samples = integer_in(n_samples, 2, math.inf, "n_samples")
-    if not 0.0 < Ls < math.inf:  # also NaN
-        raise ValueError(f"Ls must be positive and finite, got {Ls}")
-    z = _oracle_grid(float(Ls), n_samples)
+    z = _oracle_grid(positive(Ls, "Ls"), n_samples)
     hi, lo = -math.inf, math.inf
     for start in range(0, n_samples, _ORACLE_BLOCK):
         f = spatial_frequency(p, (0.0, 0.0, z[start:start + _ORACLE_BLOCK]), v)

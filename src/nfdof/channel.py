@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllZeroSpectrum, CoincidentAntennas, NonIntegerGrid
+from .errors import AllZeroSpectrum, CoincidentAntennas, NonIntegerGrid, positive
 from .geometry import ArraySegment
 from .numerics import hermitian_eigenvalues
 
@@ -68,12 +68,12 @@ def grid_steps(length: float, spacing: float) -> int:
     """Whole number of spacings along an array of ``length``, at most MAX_GRID_STEPS.
 
     Raises NonIntegerGrid when the length is not an integer multiple of
-    the spacing, and ValueError for a spacing that is not positive and finite
-    or for too many steps.
+    the spacing, and ValueError for a length that is negative or not finite,
+    a spacing that ``errors.positive`` refuses, or too many steps.
     """
-    if not 0.0 < spacing < math.inf:
-        raise ValueError(f"spacing must be positive and finite, got {spacing}")
-    ratio = length / spacing
+    if not 0.0 <= length < math.inf:  # also NaN
+        raise ValueError(f"length must be >= 0 and finite, got {length}")
+    ratio = length / positive(spacing, "spacing")
     if not ratio <= MAX_GRID_STEPS:
         raise ValueError(f"length {length} over spacing {spacing} exceeds {MAX_GRID_STEPS} steps")
     steps = round(ratio)
@@ -188,10 +188,10 @@ def _kept_rows(R: np.ndarray, floor: float) -> np.ndarray:
     return R[: np.count_nonzero(tail > floor * floor)]
 
 
-def threshold_tau(tau: float, path: str = "tau") -> float:
+def threshold_tau(tau: float) -> float:
     """A threshold on normalized singular values: inside (0, 1)."""
     if not 0.0 < tau < 1.0:
-        raise ValueError(f"{path}: {tau} outside (0, 1)")
+        raise ValueError(f"tau must lie in (0, 1), got {tau!r}")
     return tau
 
 

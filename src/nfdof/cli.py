@@ -31,13 +31,12 @@ from .channel import (
     singular_spectrum,
     threshold_tau,
 )
-from .errors import integer_in
+from .errors import integer_in, positive
 from .geometry import ArraySegment, K0, PolarPlacement, SEGMENT_TOL, geometry_angles
 from .knumber import k_number_center, k_number_max, maximize_k
 from .scenario import (
     Scenario,
     SweepTable,
-    _positive,
     kmax_pairs,
     parse_scenario,
     parse_scenarios,
@@ -52,10 +51,10 @@ MAX_AXIS_POINTS = 2001  # a 2001 x 2001 map: 4 million rows, a 213 MB CSV, a 122
 _AXIS_POINTS = "points per axis"  # what integer_in names the axis of both maps and of --grid
 
 
-def _map_extent(extent: float, path: str = "extent") -> float:
+def _map_extent(extent: float) -> float:
     """A positive map half-width whose window width 2 * extent is finite, as np.linspace needs."""
-    if not math.isfinite(2.0 * _positive(extent, path)):
-        raise ValueError(f"{path}: window width 2 * {extent:g} is not finite")
+    if not math.isfinite(2.0 * positive(extent, "extent")):
+        raise ValueError(f"extent must give a finite window width 2 * extent, got {extent!r}")
     return extent
 
 
@@ -101,7 +100,7 @@ def cmd_maxbw_map(
     """
     _map_extent(extent)
     n_points = integer_in(n_points, 2, MAX_AXIS_POINTS, _AXIS_POINTS)
-    half = 0.5 * scenario.Ls
+    half = 0.5 * positive(scenario.Ls, "Ls")
     ys = np.linspace(-extent, extent, n_points)
     zs = np.linspace(-extent, extent, n_points)
     yg = np.abs(ys)[:, None]
@@ -191,8 +190,8 @@ def _option(
     def parse(text: str) -> object:
         try:
             return check(convert(text), *args)
-        except ValueError as exc:  # an empty field path leaves a leading ": "
-            raise argparse.ArgumentTypeError(str(exc).lstrip(": ")) from None
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     return parse
 
@@ -219,7 +218,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--grid", type=axis_points, default=DEFAULT_MAP_POINTS,
                    help="points per map axis (default %(default)s)")
-    p.add_argument("--extent", type=_option(float, _map_extent, ""), default=DEFAULT_MAP_EXTENT,
+    p.add_argument("--extent", type=_option(float, _map_extent), default=DEFAULT_MAP_EXTENT,
                    help="half-width of the map window in wavelengths, 2 * extent finite (default %(default)s)")
 
     p = sub.add_parser("kmax-sweep", help="AK and EK over an (R, theta) sweep")
@@ -227,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("svd-spectrum", help="singular spectra and EDoF per scenario")
     add_common(p)
-    p.add_argument("--tau", type=_option(float, threshold_tau, ""), default=DEFAULT_TAU,
+    p.add_argument("--tau", type=_option(float, threshold_tau), default=DEFAULT_TAU,
                    help="EDoF threshold on normalized singular values (default %(default)s)")
 
     p = sub.add_parser("validate", help="run oracle-equivalence self checks")

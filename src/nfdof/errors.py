@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the one rule for an integer count."""
+"""Exception types shared across the package, and the one rule each for an integer count and a length."""
 
+import math
 import numbers
 
 
@@ -12,6 +13,14 @@ def integer_in(value: object, lo: float, hi: float, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not lo <= value <= hi:
         raise ValueError(f"{what} must be an integer in [{lo}, {hi}], got {value!r}")
     return int(value)
+
+
+def positive(value: object, what: str) -> float:
+    """``value`` as a float if it is a real number in (0, inf), a float tested first; a bool or other type fails."""
+    if isinstance(value, float) or isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if 0.0 < value < math.inf:  # not NaN; math.inf, unlike the float maximum, warns of no np.float32 overflow
+            return float(value)  # an int past the float range raises OverflowError
+    raise ValueError(f"{what} must be positive and finite, got {value!r}")
 
 
 class DegeneratePoint(ValueError):

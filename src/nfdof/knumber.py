@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bandwidth import OrientationAngles, local_bandwidth_closed, max_bandwidth, reduce_phi_prime
-from .errors import integer_in
+from .errors import integer_in, positive
 from .geometry import ArraySegment, PolarPlacement, geometry_angles, require_open_fan
 from .numerics import QuadratureRule, integrate
 
@@ -60,14 +60,9 @@ def k_number_center(receiver: ArraySegment, Ls: float) -> KNumber:
     return KNumber(receiver.length * omega / (2.0 * math.pi))
 
 
-def _require_Lp(Lp: float) -> None:
-    if not 0.0 < Lp < math.inf:  # also NaN
-        raise ValueError(f"Lp must be positive and finite, got {Lp}")
-
-
 def k_number_max(placement: PolarPlacement, Lp: float, Ls: float) -> KNumber:
     """Center approximation at the optimal orientation: (Lp / 2pi) max_bandwidth(alpha)."""
-    _require_Lp(Lp)
+    Lp = positive(Lp, "Lp")
     alpha, _ = require_open_fan(geometry_angles(placement.point(), Ls))
     return KNumber(Lp * max_bandwidth(alpha) / (2.0 * math.pi))
 
@@ -85,10 +80,10 @@ def maximize_k(
     finer grid spanning one coarse cell around the best point.  phi' is
     measured from the fan bisector, so the landscape is placement-independent
     up to the bisector tilt beta; ties break to the lowest grid index.  An Lp
-    that is not positive and finite, and a placement within Lp/2 of the
+    that errors.positive refuses, and a placement within Lp/2 of the
     segment, are refused before any K evaluation.
     """
-    _require_Lp(Lp)
+    Lp = positive(Lp, "Lp")
     n_psi, n_phi = (integer_in(n, MIN_SEARCH_AXIS, MAX_GRID, "search grid axis") for n in grid)
     p0 = placement.point()
     _, beta = require_open_fan(geometry_angles(p0, Ls, 0.5 * Lp))

@@ -31,8 +31,8 @@ class QuadratureRule:
 
 def integrate(f: Callable[[float], float], a: float, b: float, rule: QuadratureRule) -> float:
     """Composite Simpson estimate of the integral of f over [a, b]; exact for cubics."""
-    if a > b:
-        raise ValueError(f"need a <= b, got a={a}, b={b}")
+    if not -math.inf < a <= b < math.inf:  # also NaN
+        raise ValueError(f"need finite a <= b, got a={a}, b={b}")
     if a == b:
         return 0.0
     n = rule.nodes

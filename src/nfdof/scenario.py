@@ -26,13 +26,15 @@ own these caps (a one-value sweep has stop == start), each by one
 errors.integer_in call that the parser makes on the raw JSON value too, and
 PolarPlacement and OrientationAngles the angle ranges; each refuses the same
 values when called directly, and the parser only adds the field name, so a
-count of the wrong type is a RangeError like one out of range.  The at most
-MAX_KMAX_PAIRS (R, theta) pairs of kmax-sweep are checked for a K number and
-for the Lp/2 reach that maximize_k refuses.  parse_scenarios, the parser of
-svd-spectrum, which places antennas, adds the channel checks: each spacing
-divides its length, the channel has at most MAX_CHANNEL_ENTRIES entries, the
-placement lies beyond the Lp/2 reach of its search, and no antenna distance
-overflows.  _open_fan alone names a geometry error's field.
+count of the wrong type is a RangeError like one out of range.  A length,
+decoded as a finite JSON number, passes errors.positive, the rule of every
+length owner.  The at most MAX_KMAX_PAIRS (R, theta) pairs of kmax-sweep are
+checked for a K number and for the Lp/2 reach that maximize_k refuses.
+parse_scenarios, the parser of svd-spectrum, which places antennas, adds the
+channel checks: each spacing divides its length, the channel has at most
+MAX_CHANNEL_ENTRIES entries, the placement lies beyond the Lp/2 reach of its
+search, and no antenna distance overflows.  _open_fan alone names a geometry
+error's field.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ import numpy as np
 
 from .bandwidth import OrientationAngles
 from .channel import antenna_grid, check_channel_size, grid_steps, los_channel
-from .errors import DegenerateGeometry, DegeneratePoint, RangeError, SchemaError, integer_in
+from .errors import DegenerateGeometry, DegeneratePoint, RangeError, SchemaError, integer_in, positive
 from .geometry import ArraySegment, PolarPlacement, Vec3, geometry_angles, optimal_orientation, require_open_fan
 from .knumber import DEFAULT_QUAD_POINTS, DEFAULT_SEARCH_GRID, MAX_GRID, MIN_SEARCH_AXIS
 from .numerics import QuadratureRule
@@ -131,13 +133,6 @@ def _number(value: object, path: str) -> float:
     return x
 
 
-def _positive(value: object, path: str) -> float:
-    x = _number(value, path)
-    if not x > 0.0:
-        raise RangeError(f"{path}: {x} must be > 0")
-    return x
-
-
 def _checked(path: str, check: Callable, *args: object):
     """``check(*args)``, with its ValueError raised again as a RangeError that names ``path``."""
     try:
@@ -213,14 +208,15 @@ def _channel_scenario(doc: Mapping, config_id: int = 0, path: str = "") -> Scena
 def _sweep(sdoc: object, path: str) -> SweepSpec:
     if not isinstance(sdoc, dict):
         raise SchemaError(f"{path}sweep: expected an object")
-    variable = _require(sdoc, "variable", path + "sweep.")  # the one sweep is R's; a document says so
+    at = path + "sweep."
+    variable = _require(sdoc, "variable", at)  # the one sweep is R's; a document says so
     if variable not in ("R",):
-        raise SchemaError(f'{path}sweep.variable: only "R" sweeps are supported, got {variable!r}')
-    start = _positive(_require(sdoc, "start", path + "sweep."), path + "sweep.start")
-    stop = _positive(_require(sdoc, "stop", path + "sweep."), path + "sweep.stop")
+        raise SchemaError(f'{at}variable: only "R" sweeps are supported, got {variable!r}')
+    start = _checked(at + "start", positive, _number(_require(sdoc, "start", at), at + "start"), "R")
+    stop = _checked(at + "stop", positive, _number(_require(sdoc, "stop", at), at + "stop"), "R")
     if stop < start:
-        raise RangeError(f"{path}sweep.stop: {stop} must be >= start {start}")
-    return _checked(path + "sweep.count", SweepSpec, start, stop, sdoc.get("count", DEFAULT_KMAX_SWEEP.count))
+        raise RangeError(f"{at}stop: {stop} must be >= start {start}")
+    return _checked(at + "count", SweepSpec, start, stop, sdoc.get("count", DEFAULT_KMAX_SWEEP.count))
 
 
 def _scenario_from_dict(doc: Mapping, reads: Collection[str], config_id: int = 0, path: str = "") -> Scenario:
@@ -228,16 +224,17 @@ def _scenario_from_dict(doc: Mapping, reads: Collection[str], config_id: int = 0
     sc = {f.name: None for f in fields(Scenario)}
     for key in ("Ls", "Lp"):
         if key in reads:
-            sc[key] = _positive(_require(doc, key, path), path + key)
+            sc[key] = _checked(path + key, positive, _number(_require(doc, key, path), path + key), key)
     Ls, Lp = sc["Ls"], sc["Lp"]
 
     if "placement" in reads:
         pdoc = _require(doc, "placement", path)
         if not isinstance(pdoc, dict):
             raise SchemaError(f"{path}placement: expected an object")
-        R = _positive(_require(pdoc, "R", path + "placement."), path + "placement.R")
-        theta = _number(_require(pdoc, "theta", path + "placement."), path + "placement.theta")
-        sc["placement"] = _checked(path + "placement.theta", PolarPlacement, R, theta)  # R > 0 already
+        at = path + "placement."
+        R = _checked(at + "R", positive, _number(_require(pdoc, "R", at), at + "R"), "R")
+        theta = _number(_require(pdoc, "theta", at), at + "theta")
+        sc["placement"] = _checked(at + "theta", PolarPlacement, R, theta)  # R > 0 already
         axis = "placement.theta" if theta == 0.5 * math.pi else "placement.R"  # else alpha rounds to 0
         angles = _open_fan(sc["placement"], Ls, path + "placement", path + axis)
 
@@ -254,7 +251,7 @@ def _scenario_from_dict(doc: Mapping, reads: Collection[str], config_id: int = 0
 
     for key in ("spacing_s", "spacing_p"):
         if key in reads:  # parse_scenarios checks that it divides its length
-            sc[key] = _positive(doc.get(key, DEFAULT_SPACING), path + key)
+            sc[key] = _checked(path + key, positive, _number(doc.get(key, DEFAULT_SPACING), path + key), "spacing")
     if "quad_points" in reads:
         rule = _checked(path + "quad_points", QuadratureRule, doc.get("quad_points", DEFAULT_QUAD_POINTS))
         sc["quad_points"] = rule.nodes

@@ -541,6 +541,11 @@ class TestOrientationRecovery:
         assert _direction_angles((1.0, 0.0, 0.0)) == (0.0, 0.0)
         assert _direction_angles((-1.0, 0.0, 0.0)) == (math.pi, 0.0)
 
+    @pytest.mark.parametrize("phi, beta", [(math.nan, 0.0), (0.3, math.nan)])
+    def test_phi_prime_reduction_propagates_nan(self, phi, beta):
+        # only fmod's rounding up to exactly pi maps to 0.0; a NaN stays NaN
+        assert math.isnan(reduce_phi_prime(phi, beta))
+
     def test_phi_prime_reduction(self):
         assert reduce_phi_prime(0.3, 0.1) == pytest.approx(0.2)
         assert reduce_phi_prime(0.1, 0.3) == pytest.approx(math.pi - 0.2)

@@ -20,7 +20,7 @@ from nfdof import (
     optimal_orientation,
     singular_spectrum,
 )
-from nfdof.channel import KEPT_JACOBI_TOL, NOISE_FLOOR, _bit_reversed
+from nfdof.channel import KEPT_JACOBI_TOL, NOISE_FLOOR, _bit_reversed, grid_steps
 from nfdof.errors import AllZeroSpectrum, CoincidentAntennas, NonIntegerGrid
 
 Z_AXIS = (0.0, 0.0, 1.0)
@@ -68,6 +68,13 @@ class TestAntennaGrid:
     def test_spacing_not_positive_and_finite_rejected(self, spacing):
         with pytest.raises(ValueError, match="spacing must be positive and finite"):
             antenna_grid(tx_segment(100.0), spacing)
+
+    @pytest.mark.parametrize("length", [-5.0, -math.inf, math.inf, math.nan])
+    def test_length_negative_or_not_finite_rejected(self, length):
+        # -5 would give -10 steps, and NaN would read as too many steps
+        with pytest.raises(ValueError) as exc:
+            grid_steps(length, 0.5)
+        assert str(exc.value) == f"length must be >= 0 and finite, got {length}"
 
 
 class TestLosChannel:

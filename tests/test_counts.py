@@ -1,6 +1,11 @@
-"""One integer rule for every count: ``errors.integer_in`` refuses type and range with one message."""
+"""One rule each for every count and every length: ``errors.integer_in`` and ``errors.positive``.
+
+Each refuses type and range alike with one message.
+"""
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,11 +15,13 @@ from nfdof import (
     QuadratureRule,
     SweepSpec,
     hermitian_eigenvalues,
+    k_number_max,
     local_bandwidth_oracle,
     maximize_k,
     parse_scenario,
     run_validation,
 )
+from nfdof.channel import grid_steps
 from nfdof.cli import MAX_AXIS_POINTS, cmd_localbw_sweep, cmd_maxbw_map, main
 from nfdof.knumber import MAX_GRID, MIN_SEARCH_AXIS
 from nfdof.numerics import MAX_QUAD_POINTS, MIN_NODES
@@ -87,3 +94,58 @@ def test_every_count_option_is_the_same_rule(capsys, command, option, lo, hi, wh
         assert exc.value.code == 2
         message = f"argument {option}: {what} must be an integer in [{lo}, {hi}], got {value}\n"
         assert capsys.readouterr().err.endswith(message)
+
+
+# (entry, call with the length, a length it takes, what the message names)
+LENGTHS = [
+    ("PolarPlacement", lambda x: PolarPlacement(x, 0.0), 500, "R"),
+    ("k_number_max", lambda x: k_number_max(PLACEMENT, x, 100.0), 100, "Lp"),
+    ("maximize_k", lambda x: maximize_k(PLACEMENT, x, 100.0, (MIN_SEARCH_AXIS, MIN_SEARCH_AXIS), 3), 100, "Lp"),
+    ("local_bandwidth_oracle", lambda x: local_bandwidth_oracle((0.0, 500.0, 0.0), (0.0, 0.0, 1.0), x, 2),
+     100, "Ls"),
+    ("grid_steps", lambda x: grid_steps(10.0, x), 2, "spacing"),
+    ("cmd_maxbw_map", lambda x: cmd_maxbw_map(replace(SCENARIO, Ls=x), n_points=2), 100, "Ls"),
+    ("cmd_maxbw_map.extent", lambda x: cmd_maxbw_map(SCENARIO, extent=x, n_points=2), 300, "extent"),
+]
+NOT_LENGTHS = [True, np.True_, "8", None, 0, -1.0, math.nan, math.inf]
+
+
+@pytest.mark.parametrize(
+    "call, what, value",
+    [
+        pytest.param(call, what, value, id=f"{entry}-{value!r}")
+        for entry, call, _, what in LENGTHS
+        for value in NOT_LENGTHS
+    ],
+)
+def test_every_length_refuses_with_one_message(call, what, value):
+    with pytest.raises(ValueError) as exc:
+        call(value)
+    assert exc.type is ValueError
+    assert str(exc.value) == f"{what} must be positive and finite, got {value!r}"
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.float32, np.float64])
+@pytest.mark.parametrize("call, length", [pytest.param(call, x, id=entry) for entry, call, x, _ in LENGTHS])
+def test_every_length_takes_a_numpy_number(call, length, kind):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        call(kind(length))
+
+
+@pytest.mark.parametrize(
+    "command, option, value, message",
+    [
+        ("svd-spectrum", "--tau", "1.5", "tau must lie in (0, 1), got 1.5"),
+        ("svd-spectrum", "--tau", "nan", "tau must lie in (0, 1), got nan"),
+        ("maxbw-map", "--extent", "-1", "extent must be positive and finite, got -1.0"),
+        ("maxbw-map", "--extent", "inf", "extent must be positive and finite, got inf"),
+        ("maxbw-map", "--extent", "1e308", "extent must give a finite window width 2 * extent, got 1e+308"),
+    ],
+)
+def test_every_number_option_names_its_quantity(capsys, command, option, value, message):
+    # argparse refuses the value before any config is read
+    with pytest.raises(SystemExit) as exc:
+        main([command, f"{option}={value}", "--config", "unread.json"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"argument {option}: {message}\n")

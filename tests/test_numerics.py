@@ -91,6 +91,14 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(math.sin, 1.0, 0.0, QuadratureRule(5))
 
+    @pytest.mark.parametrize(
+        "a, b", [(math.nan, 1.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf)]
+    )
+    def test_non_finite_bound_rejected(self, a, b):
+        # a NaN or infinite bound would give a NaN estimate, not an error
+        with pytest.raises(ValueError, match=r"^need finite a <= b, got "):
+            integrate(math.sin, a, b, QuadratureRule(5))
+
     def test_even_simpson_nodes_rejected(self):
         for nodes in (4, 10, MAX_QUAD_POINTS - 1):
             with pytest.raises(ValueError, match=rf"^composite Simpson needs an odd node count, got {nodes}$"):

@@ -226,6 +226,31 @@ class TestParseScenario:
         with pytest.raises(RangeError, match=message):
             parse_scenario(scenario_text(**overrides))
 
+    @pytest.mark.parametrize(
+        "overrides, command, message",
+        [
+            ({"Ls": -100}, "maxbw-map", "Ls: Ls must be positive and finite, got -100.0"),
+            ({"Lp": 0}, "kmax-sweep", "Lp: Lp must be positive and finite, got 0.0"),
+            ({"placement": {"R": -5, "theta": 0}}, "localbw-sweep",
+             "placement.R: R must be positive and finite, got -5.0"),
+            ({"sweep": {"variable": "R", "start": 0, "stop": 1000}}, "kmax-sweep",
+             "sweep.start: R must be positive and finite, got 0.0"),
+            ({"sweep": {"variable": "R", "start": 300, "stop": -1}}, "kmax-sweep",
+             "sweep.stop: R must be positive and finite, got -1.0"),
+            ({"spacing_s": -0.5}, "svd-spectrum", "spacing_s: spacing must be positive and finite, got -0.5"),
+            ({"spacing_p": 0}, "svd-spectrum", "spacing_p: spacing must be positive and finite, got 0.0"),
+        ],
+    )
+    def test_length_out_of_range_names_field(self, overrides, command, message, tmp_path, capsys):
+        # the parser decodes the JSON number and passes it to errors.positive, the rule of every length owner
+        with pytest.raises(RangeError) as exc:
+            parse_scenario(scenario_text(**overrides))
+        assert str(exc.value) == message
+        cfg = tmp_path / "s.json"
+        cfg.write_text(scenario_text(**overrides))
+        assert main([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"nfdof: error: {message}\n"
+
     def test_non_finite_value_in_scenarios_array_names_index(self):
         text = json.dumps({"scenarios": [MINIMAL, dict(MINIMAL, placement={"R": 500, "theta": math.nan})]})
         with pytest.raises(RangeError, match=r"^scenarios\[1\]\.placement\.theta: nan"):
@@ -814,8 +839,16 @@ class TestLibraryCaps:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             getattr(cli_mod, command)(sc, n_points=n_points)
 
-    @pytest.mark.parametrize("extent", [1e308, 8.99e307, -1.0, math.nan])
-    def test_map_extent_outside_the_float_window_rejected(self, monkeypatch, extent):
+    @pytest.mark.parametrize(
+        "extent, rule",
+        [
+            (1e308, "give a finite window width 2 * extent"),
+            (8.99e307, "give a finite window width 2 * extent"),
+            (-1.0, "be positive and finite"),
+            (math.nan, "be positive and finite"),
+        ],
+    )
+    def test_map_extent_outside_the_float_window_rejected(self, monkeypatch, extent, rule):
         # np.linspace(-extent, extent, n) overflows 2 * extent to inf past about 8.99e307
         import nfdof.cli as cli_mod
 
@@ -824,8 +857,9 @@ class TestLibraryCaps:
         for name in ("_tensor_rows", "SweepTable"):
             monkeypatch.setattr(cli_mod, name, fail)
         monkeypatch.setattr(cli_mod, "np", SimpleNamespace(linspace=fail))
-        with pytest.raises(ValueError, match=r"^extent: "):
+        with pytest.raises(ValueError) as exc:
             cli_mod.cmd_maxbw_map(sc, extent=extent, n_points=3)
+        assert str(exc.value) == f"extent must {rule}, got {extent!r}"
 
     def test_largest_map_extent_gives_finite_coordinates(self):
         extent = np.nextafter(0.5 * np.finfo(float).max, 0.0)
